@@ -77,11 +77,6 @@ impl Function {
         &self.blocks
     }
 
-    /// Mutable access to all blocks (used by the transformation passes).
-    pub fn blocks_mut(&mut self) -> &mut Vec<BasicBlock> {
-        &mut self.blocks
-    }
-
     /// Access one block.
     ///
     /// # Panics
@@ -256,12 +251,6 @@ impl Function {
             }
         }
         loops
-    }
-
-    /// Total static instruction count.
-    #[must_use]
-    pub fn instr_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
 }
 

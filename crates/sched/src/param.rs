@@ -70,10 +70,12 @@ pub struct MinDistParam {
     offsets: Vec<u32>,
     pairs: Vec<Line>,
     /// Memoized longest-path profiles over distance-0 edges (the Swing
-    /// ordering's `depths`/`heights` and the list scheduler's `depths`):
-    /// they depend only on `(dfg, lat)` — never on the II — so one
-    /// computation serves every candidate II, sweep point, and retry.
-    /// `None` for ill-formed bodies (cyclic distance-0 subgraph).
+    /// ordering's `depths`/`heights`): they depend only on `(dfg, lat)` —
+    /// never on the II — so one computation serves every candidate II,
+    /// sweep point, and retry. The list scheduler computes its `depths`
+    /// directly instead, so a static-hint translation (which runs no
+    /// Swing ordering) never pays for building this structure. `None` for
+    /// ill-formed bodies (cyclic distance-0 subgraph).
     profiles: Option<Profiles>,
 }
 
@@ -372,19 +374,6 @@ impl MinDistParam {
     #[must_use]
     pub fn valid_at(&self, ii: u32) -> bool {
         self.rec_mii != u32::MAX && ii >= self.rec_mii
-    }
-
-    /// Average frontier entries per reachable pair (diagnostic; the `k`
-    /// in the O(n²·k) evaluation bound).
-    #[must_use]
-    pub fn mean_frontier_len(&self) -> f64 {
-        let reachable = self
-            .offsets
-            .windows(2)
-            .filter(|w| w[1] > w[0])
-            .count()
-            .max(1);
-        self.pairs.len() as f64 / reachable as f64
     }
 
     /// Evaluates the envelope for a single `(u, v)` pair at `ii`: the

@@ -210,27 +210,10 @@ pub fn list_schedule(
         return crate::reference::list_schedule(dfg, config, order, mii, streams, meter);
     }
     let lat = &config.latencies;
-    // Depths depend only on (dfg, lat); when the parametric MinDist is
-    // enabled its cache already memoizes them (the translator warms it
-    // during RecMII/priority), so this pass reuses the cached copy and
-    // charges the bulk equivalent (one unit per topo node). The fallback
-    // recomputes — and, for ill-formed bodies, panics — exactly as before.
-    let cached = if crate::mindist::parametric_enabled() {
-        Some(crate::param::cached(dfg, lat))
-    } else {
-        None
-    };
-    let owned;
-    let d: &[u32] = match cached.as_ref().and_then(|p| p.profiles()) {
-        Some((pd, _, topo_len)) => {
-            meter.charge(Phase::Scheduling, topo_len as u64);
-            pd
-        }
-        None => {
-            owned = depths(dfg, lat, meter, Phase::Scheduling);
-            &owned
-        }
-    };
+    // One O(V+E) pass. Reading the depths off the memoized all-pairs
+    // structure would make every cold static-hint translation build that
+    // structure, which is the work the hints exist to remove.
+    let d = depths(dfg, lat, meter, Phase::Scheduling);
     let start_ii = mii.max(config.min_ii_for_streams(streams)).max(1);
     // Bound the escalation: a loop that fails 64 consecutive IIs is not
     // going to schedule (keeps the huge-control-store infinite machine from
@@ -263,7 +246,7 @@ pub fn list_schedule(
                 .get_or_init(|| veal_obs::counter("sched.ii_escalations"))
                 .inc();
         }
-        if let Some(schedule) = try_schedule(dfg, config, order, ii, d, &mut scratch, meter) {
+        if let Some(schedule) = try_schedule(dfg, config, order, ii, &d, &mut scratch, meter) {
             result = Ok(schedule);
             break;
         }

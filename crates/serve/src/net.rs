@@ -79,7 +79,9 @@ pub struct NetConfig {
     /// Per-connection cap on admitted-but-unanswered requests; requests
     /// beyond it get [`ErrorCode::Overloaded`] without touching a session.
     pub max_inflight: usize,
-    /// Per-frame length cap (see [`crate::wire::MAX_FRAME_LEN`]).
+    /// Per-frame length cap (see [`crate::wire::MAX_FRAME_LEN`]). Also
+    /// the write-buffer level at which the reactor stops reading a
+    /// connection until its responses flush.
     pub max_frame_len: usize,
 }
 
@@ -269,11 +271,15 @@ impl NetServer {
 
             // Read and decode every connection's inbound bytes.
             let mut admitted_any = false;
-            for (slot, entry) in conns.iter_mut().enumerate() {
-                let Some(conn) = entry.as_mut() else {
+            let mut shed = Vec::new();
+            for slot in 0..conns.len() {
+                let Some(conn) = conns[slot].as_mut() else {
                     continue;
                 };
-                if conn.closing {
+                // A peer that does not read its responses stops being
+                // read: its write buffer stays bounded, and the kernel's
+                // flow control pushes back on its sends.
+                if conn.closing || conn.wbuf.len() >= config.max_frame_len {
                     continue;
                 }
                 let mut closed_by_peer = false;
@@ -334,6 +340,7 @@ impl NetServer {
                                 conn,
                                 &mut pool,
                                 &mut bodies,
+                                &mut shed,
                                 &mut report,
                                 &config,
                                 translator_family_fp,
@@ -361,7 +368,24 @@ impl NetServer {
                         conn: slot as u64,
                         frames,
                     });
-                    *entry = None;
+                    conns[slot] = None;
+                }
+
+                // Connections sharing a tenant share its admission queue,
+                // so this connection's admissions may have shed another's
+                // requests: each shed request's own connection is answered.
+                for token in shed.drain(..) {
+                    let (shed_slot, shed_seq) = unpack_token(token);
+                    if let Some(owner) = conns.get_mut(shed_slot).and_then(Option::as_mut) {
+                        owner.inflight = owner.inflight.saturating_sub(1);
+                        Self::refuse(
+                            owner,
+                            &mut report,
+                            shed_seq,
+                            ErrorCode::Shed,
+                            "admission queue over bound; oldest shed",
+                        );
+                    }
                 }
             }
 
@@ -505,6 +529,7 @@ impl NetServer {
         conn: &mut Conn,
         pool: &mut crate::service::SessionPool<'_>,
         bodies: &mut BodyRegistry,
+        shed: &mut Vec<usize>,
         report: &mut NetReport,
         config: &NetConfig,
         server_family_fp: Option<u64>,
@@ -582,7 +607,8 @@ impl NetServer {
                     (body.dfg.content_hash(), hints.fingerprint()),
                     (Arc::clone(&body), Arc::clone(&hints)),
                 );
-                Self::admit(conn, pool, report, slot, tenant, seq, key, body, hints);
+                shed.extend(pool.admit(tenant, pack_token(slot, seq), key, body, hints));
+                conn.inflight += 1;
                 Handled::Ok
             }
             WireFrame::ReqHash {
@@ -613,7 +639,8 @@ impl NetServer {
                     );
                 };
                 let (body, hints) = (Arc::clone(body), Arc::clone(hints));
-                Self::admit(conn, pool, report, slot, tenant, seq, key, body, hints);
+                shed.extend(pool.admit(tenant, pack_token(slot, seq), key, body, hints));
+                conn.inflight += 1;
                 Handled::Ok
             }
             WireFrame::Shutdown => Handled::Shutdown,
@@ -629,38 +656,6 @@ impl NetServer {
                 ErrorCode::Malformed,
                 "unexpected frame",
             ),
-        }
-    }
-
-    /// Admits one request and queues shed errors for any evictions.
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        conn: &mut Conn,
-        pool: &mut crate::service::SessionPool<'_>,
-        report: &mut NetReport,
-        slot: usize,
-        tenant: usize,
-        seq: u32,
-        key: u64,
-        body: Arc<LoopBody>,
-        hints: Arc<StaticHints>,
-    ) {
-        let shed = pool.admit(tenant, pack_token(slot, seq), key, body, hints);
-        conn.inflight += 1;
-        for token in shed {
-            let (shed_slot, shed_seq) = unpack_token(token);
-            // The shed request's own connection gets the error; with one
-            // connection per tenant that is this connection.
-            if shed_slot == slot {
-                conn.inflight = conn.inflight.saturating_sub(1);
-                conn.push_frame(&WireFrame::Error {
-                    seq: shed_seq,
-                    code: ErrorCode::Shed,
-                    message: "admission queue over bound; oldest shed".into(),
-                });
-                report.responses += 1;
-                meters().responses.inc();
-            }
         }
     }
 

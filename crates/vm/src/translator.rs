@@ -230,13 +230,6 @@ pub(crate) struct SymbolicBody {
 }
 
 impl SymbolicTranslation {
-    /// Whether the prefix succeeded (a failed separation concretizes to the
-    /// same `Unsupported` outcome at every configuration).
-    #[must_use]
-    pub fn is_separable(&self) -> bool {
-        self.body.is_ok()
-    }
-
     /// Distinct priority orders cached so far (one per MII observed across
     /// concretizations; telemetry).
     #[must_use]

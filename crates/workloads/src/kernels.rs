@@ -76,13 +76,6 @@ impl KernelCtx {
         self.b.op(Opcode::BrCond, &[c]);
         self.b.finish()
     }
-
-    /// Finishes without control (a pre-separated compute view, used for
-    /// modelling unrolled raw binaries).
-    #[must_use]
-    pub fn finish_preseparated(self) -> Dfg {
-        self.b.finish()
-    }
 }
 
 /// `acc += x[i] * y[i]` — double-precision dot product (every BLAS-1 user).

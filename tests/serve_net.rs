@@ -7,14 +7,18 @@
 //! (never the server, never a bystander connection), and idle connections
 //! are evicted without disturbing live ones.
 
-use std::io::Write as _;
+use std::collections::BTreeMap;
+use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use veal::serve::wire::{encode_frame, ErrorCode, WireFrame, WIRE_VERSION};
+use veal::serve::wire::{
+    decode_frame, encode_frame, ErrorCode, FrameStatus, WireFrame, MAX_FRAME_LEN, WIRE_VERSION,
+};
 use veal::serve::{generate, LoadSpec, NetConfig, NetReport, ServeConfig, TranslationService};
-use veal::{NetServer, WireClient};
+use veal::vm::{BinaryModule, EncodedLoop};
+use veal::{encode_module, NetServer, WireClient};
 
 fn spec(seed: u64, requests: usize, tenants: usize) -> LoadSpec {
     LoadSpec {
@@ -317,4 +321,235 @@ fn idle_connections_are_evicted_at_the_deadline() {
         "the silent connection must be evicted at the deadline"
     );
     assert!(served > 0 && report.stats.completed as usize >= served);
+}
+
+/// Sends a hello for `tenant` over a fresh raw connection.
+fn raw_hello(addr: &str, tenant: u32) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("raw connect");
+    s.write_all(&encode_frame(&WireFrame::Hello {
+        version: WIRE_VERSION,
+        tenant,
+        family_fp: None,
+    }))
+    .expect("send hello");
+    s
+}
+
+/// Reads the next whole frame off a blocking stream, keeping any surplus
+/// bytes in `buf`.
+fn read_frame(s: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<WireFrame> {
+    loop {
+        match decode_frame(buf, MAX_FRAME_LEN) {
+            FrameStatus::Frame { frame, consumed } => {
+                buf.drain(..consumed);
+                return Ok(frame);
+            }
+            FrameStatus::Incomplete => {
+                let mut chunk = [0u8; 4096];
+                let n = s.read(&mut chunk)?;
+                if n == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            FrameStatus::Reject { reason, .. } | FrameStatus::Fatal { reason } => {
+                panic!("server sent a malformed frame: {reason}")
+            }
+        }
+    }
+}
+
+/// Two connections may claim the same tenant and so share its admission
+/// queue. When they overflow it together, every shed request is answered
+/// on its own connection, and a graceful shutdown still finds the server
+/// quiescent. Cross-connection shedding needs both batches admitted in
+/// one reactor pass; back-to-back writes over three rounds make that
+/// near certain, and the per-seq checks hold either way.
+#[test]
+fn shed_notices_reach_the_connection_that_sent_the_request() {
+    const PER_ROUND: u32 = 24;
+    const ROUNDS: u32 = 3;
+    let cfg = ServeConfig {
+        threads: 1,
+        queue_capacity: 4,
+        ..ServeConfig::paper()
+    };
+    let stream = generate(&spec(0x5ED, 8, 1), &cfg.config, cfg.cca.as_ref());
+    let (addr, handle) = spawn_server(cfg, NetConfig::default());
+
+    let mut conns: Vec<(TcpStream, Vec<u8>)> = (0..2)
+        .map(|_| {
+            let s = raw_hello(&addr, 0);
+            s.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            (s, Vec::new())
+        })
+        .collect();
+    let mut shed = 0usize;
+    for round in 0..ROUNDS {
+        // Each connection's whole batch goes out in one write, back to
+        // back, so the reactor admits both in the same pass.
+        let batches: Vec<Vec<u8>> = (0..conns.len())
+            .map(|c| {
+                let mut bytes = Vec::new();
+                for i in 0..PER_ROUND {
+                    let req = &stream[(c + i as usize) % stream.len()];
+                    let module = encode_module(&BinaryModule {
+                        loops: vec![EncodedLoop {
+                            body: (*req.body).clone(),
+                            priority_hint: req.hints.priority.clone(),
+                            cca_hint: req.hints.cca_groups.clone(),
+                            family_hint: None,
+                        }],
+                    });
+                    bytes.extend_from_slice(&encode_frame(&WireFrame::ReqModule {
+                        seq: round * PER_ROUND + i,
+                        key: req.key,
+                        module,
+                    }));
+                }
+                bytes
+            })
+            .collect();
+        for ((s, _), bytes) in conns.iter_mut().zip(&batches) {
+            s.write_all(bytes).expect("pipeline the batch");
+        }
+        for (c, (s, buf)) in conns.iter_mut().enumerate() {
+            let mut answers: BTreeMap<u32, &str> = BTreeMap::new();
+            while answers.len() < PER_ROUND as usize {
+                let frame = read_frame(s, buf).unwrap_or_else(|e| {
+                    panic!(
+                        "connection {c} round {round}: {} of {PER_ROUND} answered: {e}",
+                        answers.len()
+                    )
+                });
+                let (seq, kind) = match frame {
+                    WireFrame::Outcome { seq, .. } => (seq, "outcome"),
+                    WireFrame::Error {
+                        seq,
+                        code: ErrorCode::Shed,
+                        ..
+                    } => (seq, "shed"),
+                    other => panic!("connection {c}: unexpected frame {other:?}"),
+                };
+                assert!(
+                    (round * PER_ROUND..(round + 1) * PER_ROUND).contains(&seq),
+                    "connection {c} round {round}: stray seq {seq}"
+                );
+                assert!(
+                    answers.insert(seq, kind).is_none(),
+                    "connection {c}: seq {seq} answered twice"
+                );
+            }
+            shed += answers.values().filter(|&&k| k == "shed").count();
+        }
+    }
+    assert!(shed > 0, "the bound of 4 must shed");
+
+    let (s, buf) = &mut conns[0];
+    s.write_all(&encode_frame(&WireFrame::Shutdown))
+        .expect("send shutdown");
+    let bye = read_frame(s, buf).expect("the server acknowledges the shutdown");
+    assert!(matches!(bye, WireFrame::Bye), "got {bye:?} instead of Bye");
+    let report = handle.join().expect("server thread");
+    let offered = u64::from(2 * PER_ROUND * ROUNDS);
+    assert_eq!(report.stats.offered, offered);
+    assert_eq!(report.stats.shed as usize, shed);
+    assert_eq!(report.stats.completed + report.stats.shed, offered);
+}
+
+/// A client that sends requests and never reads its responses stops being
+/// read once its unflushed responses reach the frame cap: its sends stall
+/// on TCP flow control after a bounded number of bytes instead of growing
+/// the server's write buffer without limit, and other connections are
+/// served as usual.
+#[test]
+fn a_peer_that_never_reads_is_throttled_without_stalling_others() {
+    const CAP: usize = 64 << 20;
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let net = NetConfig {
+        max_frame_len: 4096,
+        ..NetConfig::default()
+    };
+    let stream = generate(&spec(0xB0B, 24, 1), &cfg.config, cfg.cca.as_ref());
+    let reference = TranslationService::new(cfg.clone()).run(&stream);
+    let (addr, handle) = spawn_server(cfg.clone(), net);
+
+    let mut bystander = WireClient::connect(&addr, 0, None, cfg.config.clone()).expect("connect");
+    let mut got = Vec::new();
+    let half = stream.len() / 2;
+    for req in &stream[..half] {
+        let o = bystander.request(req.key, &req.body, &req.hints);
+        got.push(o.expect("bystander request"));
+    }
+
+    // The flooder asks about a loop the server never saw: each request
+    // earns a small NeedBody refusal, which it never reads.
+    let mut flooder = raw_hello(&addr, 1);
+    flooder.set_nonblocking(true).expect("nonblocking");
+    let mut batch = Vec::new();
+    for seq in 0..1024u32 {
+        batch.extend_from_slice(&encode_frame(&WireFrame::ReqHash {
+            seq,
+            key: 1,
+            loop_hash: 0xDEAD,
+            hints_fp: 0xBEEF,
+        }));
+    }
+    let mut sent = 0usize;
+    let mut at = 0usize;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    // Write until the socket pushes back, pause, and repeat until a whole
+    // round gets no byte through: the server has stopped reading.
+    loop {
+        let mut round = 0usize;
+        loop {
+            match flooder.write(&batch[at..]) {
+                Ok(n) => {
+                    round += n;
+                    at = (at + n) % batch.len();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("flooder write failed: {e}"),
+            }
+            if sent + round >= CAP {
+                break;
+            }
+        }
+        sent += round;
+        assert!(
+            sent < CAP,
+            "the server kept reading a peer that never reads ({sent} bytes)"
+        );
+        assert!(Instant::now() < deadline, "flooder never stalled");
+        if round == 0 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(100));
+    }
+
+    // The bystander is served in full while the flooder is stalled.
+    for req in &stream[half..] {
+        let o = bystander.request(req.key, &req.body, &req.hints);
+        got.push(o.expect("bystander request"));
+    }
+    drop(flooder);
+    bystander.shutdown().expect("graceful shutdown");
+    let report = handle.join().expect("server thread");
+
+    let want = &reference.tenants[0].outcomes;
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert!(g.error.is_none(), "bystander refused: {:?}", g.error);
+        assert_eq!(g.translation_cycles, w.translation_cycles);
+        let want_bytes = w
+            .translated
+            .as_deref()
+            .map(|t| veal::encode_translated_loop(t).expect("schedule encodes"));
+        assert_eq!(g.translated_bytes, want_bytes, "bystander bytes diverged");
+    }
+    assert_eq!(report.tenants[0].stats, reference.tenants[0].stats);
 }
