@@ -119,7 +119,13 @@ pub fn verify_schedule(
             continue;
         };
         let l = i64::from(dfg.node(e.src).opcode().map_or(0, |op| lat.latency(op)));
-        let slack = td - (ts + l - i64::from(ii) * i64::from(e.distance));
+        // A schedule decoded from untrusted bytes may carry any times, II
+        // and distances: a constraint that overflows i64 is violated.
+        let slack = i64::from(ii)
+            .checked_mul(i64::from(e.distance))
+            .and_then(|back| ts.checked_add(l)?.checked_sub(back))
+            .and_then(|ready| td.checked_sub(ready))
+            .unwrap_or(i64::MIN);
         if slack < 0 {
             defects.push(ScheduleDefect::DependenceViolated {
                 src: e.src,
@@ -128,6 +134,11 @@ pub fn verify_schedule(
                 slack,
             });
         }
+    }
+    // Past the control store the II is already a defect, and a forged one
+    // must not size the row table.
+    if ii > config.max_ii {
+        return defects;
     }
 
     // Resource rows: account span for unpipelined ops.
@@ -146,7 +157,8 @@ pub fn verify_schedule(
                 lat.latency(op).min(ii)
             };
             for k in 0..span {
-                let r = (t + i64::from(k)).rem_euclid(i64::from(ii)) as usize;
+                let r =
+                    (t.rem_euclid(i64::from(ii)) + i64::from(k)).rem_euclid(i64::from(ii)) as usize;
                 rows[r] += 1;
             }
         }
@@ -261,5 +273,43 @@ mod tests {
         assert!(defects
             .iter()
             .any(|d| matches!(d, ScheduleDefect::ResourceOversubscribed { .. })));
+    }
+
+    #[test]
+    fn forged_ii_and_times_are_defects_not_panics() {
+        let mut b = DfgBuilder::new();
+        let x = b.load_stream(0);
+        let a = b.op(Opcode::Add, &[x, x]);
+        b.loop_carried(a, a, 1);
+        b.store_stream(1, a);
+        let dfg = b.finish();
+        let la = AcceleratorConfig::paper_design();
+        let good = modulo_schedule(
+            &dfg,
+            &la,
+            &ScheduleOptions::default(),
+            &mut CostMeter::new(),
+        )
+        .unwrap()
+        .schedule;
+        let (ii, times, units) = good.raw_parts();
+        let forge = |ii: u32, times: Vec<i64>| {
+            let s = ModuloSchedule::from_raw_parts(ii, times, units.to_vec());
+            verify_schedule(&dfg, &s, &la)
+        };
+        // A u32::MAX II must neither size the row table nor overflow
+        // II × distance.
+        assert!(
+            forge(u32::MAX, times.to_vec()).contains(&ScheduleDefect::IiTooLarge {
+                ii: u32::MAX,
+                max_ii: la.max_ii,
+            })
+        );
+        // Times at the ends of i64 overflow neither the dependence nor the
+        // row arithmetic.
+        for t in [i64::MAX, i64::MIN] {
+            let extreme: Vec<i64> = times.iter().map(|&x| if x >= 0 { t } else { x }).collect();
+            let _ = forge(ii, extreme);
+        }
     }
 }

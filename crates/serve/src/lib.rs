@@ -35,12 +35,14 @@
 //! come from [`lanes`], a deterministic abstract-cycle simulation of the
 //! same dispatch policy (see `bench_serve`).
 
+pub mod faults;
 pub mod lanes;
 pub mod loadgen;
 pub mod net;
 pub mod service;
 pub mod wire;
 
+pub use faults::{check_frame_stream, frame_map, StreamReport, WireCase, WireFuzzer};
 pub use lanes::{percentile, simulate_lanes, LaneReport, DISPATCH_OVERHEAD_CYCLES};
 pub use loadgen::{generate, LoadSpec};
 pub use net::{ClientOutcome, NetConfig, NetReport, NetServer, WireClient};

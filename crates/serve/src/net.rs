@@ -389,16 +389,13 @@ impl NetServer {
                 }
             }
 
-            // Drain the pool and route outcomes back to their sockets.
+            // Drain the pool and route outcomes back to their sockets. Every
+            // tenant's outcomes are taken, so those of a connection that
+            // closed this pass are dropped now rather than left for the
+            // next connection to reuse its slot.
             if admitted_any || shutdown_conn.is_some() {
                 pool.drain();
-                let tenant_count = conns
-                    .iter()
-                    .flatten()
-                    .filter_map(|c| c.tenant)
-                    .max()
-                    .map_or(0, |t| t + 1);
-                for tenant in 0..tenant_count {
+                for tenant in 0..pool.tenant_count() {
                     for outcome in pool.take_outcomes(tenant) {
                         let (slot, seq) = unpack_token(outcome.seq);
                         let translated = outcome

@@ -12,7 +12,6 @@
 //! at a time ⇒ every tenant observes a strictly sequential invocation
 //! order ⇒ the solo-replay bit-identity invariant holds by construction.
 
-use crate::lanes::{simulate_lanes, LaneReport};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -280,19 +279,6 @@ impl ServeReport {
             .collect();
         all.sort_unstable();
         all
-    }
-
-    /// Replays this run's per-request simulated costs through the
-    /// deterministic lane model (same dispatch policy, abstract cycles) —
-    /// the host-independent throughput/latency figures.
-    #[must_use]
-    pub fn lane_model(&self, lanes: usize, batch_size: usize) -> LaneReport {
-        let costs: Vec<Vec<u64>> = self
-            .tenants
-            .iter()
-            .map(|t| t.outcomes.iter().map(|o| o.translation_cycles).collect())
-            .collect();
-        simulate_lanes(&costs, lanes, batch_size)
     }
 }
 
@@ -807,6 +793,12 @@ impl SessionPool<'_> {
         let batches = self.service.drain(&self.tenants);
         self.stats.batches += batches;
         batches
+    }
+
+    /// Tenants admitted so far (dense indices `0..tenant_count()`).
+    #[must_use]
+    pub fn tenant_count(&self) -> usize {
+        self.tenants.len()
     }
 
     /// Removes and returns `tenant`'s completed outcomes, in processing

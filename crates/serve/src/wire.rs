@@ -1,19 +1,17 @@
 //! The serving wire protocol (DESIGN.md §15).
 //!
-//! Frames reuse the binary-module framing dialect (`veal_vm::binfmt`): one
-//! frame is `tag u8, len u32, checksum u64, payload`, little endian, with
-//! the same FNV-1a payload checksum a module section carries — so a
-//! network capture, a module file, and a snapshot all read with the same
-//! tools. There is no stream-level handshake magic; the first frame on a
-//! connection must be [`WireFrame::Hello`], which carries the protocol
-//! version.
+//! A frame is one binfmt section frame, written by
+//! `veal_vm::Writer::section` and read by `veal_vm::binfmt::read_section`
+//! — the reader modules and snapshots use too — so a network capture, a
+//! module file, and a snapshot all read with the same tools. There is no
+//! stream-level handshake magic; the first frame on a connection must be
+//! [`WireFrame::Hello`], which carries the protocol version.
 //!
 //! # Trust model
 //!
 //! Everything that arrives on a socket is **untrusted**, exactly like a
-//! module file or a snapshot (DESIGN.md §9): decoding never panics, never
-//! allocates proportionally to a claimed length before bounds-checking it,
-//! and classifies every defect as one of three severities:
+//! module file or a snapshot (DESIGN.md §9). [`decode_frame`] maps the
+//! section reader's verdict to one of three severities:
 //!
 //! * [`FrameStatus::Incomplete`] — more bytes may still arrive; keep
 //!   reading.
@@ -25,12 +23,13 @@
 //!   length claim past the frame cap); the connection must close.
 //!
 //! A request's *module payload* is a further trust layer: the reactor
-//! hands it to `veal_vm::decode_module`, which runs the full PR 3
-//! verification gauntlet before any graph reaches a session. Response
-//! payloads get the symmetric treatment client-side via
-//! `veal_vm::decode_translated_loop`.
+//! hands it to `veal_vm::decode_module`, which runs the full module
+//! verification gauntlet (DESIGN.md §9) before any graph reaches a
+//! session. Response payloads get the symmetric treatment client-side via
+//! `veal_vm::decode_translated_loop`. `crate::faults::WireFuzzer` fuzzes
+//! this decoder.
 
-use veal_vm::section_checksum;
+use veal_vm::binfmt::{read_section, SectionRead, SECTION_HEADER_LEN};
 use veal_vm::{Reader, Writer};
 
 /// Wire protocol version, carried in every [`WireFrame::Hello`].
@@ -41,8 +40,8 @@ pub const WIRE_VERSION: u16 = 1;
 /// never arrive, and skipping it would desynchronize honest streams.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Frame header bytes: tag u8 + len u32 + checksum u64.
-pub const FRAME_HEADER_LEN: usize = 13;
+/// Frame header bytes: the binfmt section header.
+pub const FRAME_HEADER_LEN: usize = SECTION_HEADER_LEN;
 
 /// Connection handshake (client → server, first frame).
 pub const FRAME_HELLO: u8 = 1;
@@ -192,7 +191,7 @@ impl WireFrame {
     }
 }
 
-/// Serializes one frame: `tag u8, len u32, checksum u64, payload`.
+/// Serializes one frame as a binfmt section frame.
 #[must_use]
 pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
     let mut p = Writer::new();
@@ -294,42 +293,24 @@ pub enum FrameStatus {
 /// stream aligned on the next frame.
 #[must_use]
 pub fn decode_frame(buf: &[u8], max_frame_len: usize) -> FrameStatus {
-    if buf.len() < FRAME_HEADER_LEN {
-        return FrameStatus::Incomplete;
-    }
-    let tag = buf[0];
-    let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-    if len > max_frame_len {
-        return FrameStatus::Fatal {
+    match read_section(buf, 0, max_frame_len) {
+        SectionRead::Short => FrameStatus::Incomplete,
+        SectionRead::OverCap { len, .. } => FrameStatus::Fatal {
             reason: format!("frame length {len} exceeds cap {max_frame_len}"),
-        };
-    }
-    let Some(total) = FRAME_HEADER_LEN.checked_add(len) else {
-        return FrameStatus::Fatal {
-            reason: "frame length overflows".into(),
-        };
-    };
-    if buf.len() < total {
-        return FrameStatus::Incomplete;
-    }
-    let stored = u64::from_le_bytes([
-        buf[5], buf[6], buf[7], buf[8], buf[9], buf[10], buf[11], buf[12],
-    ]);
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    if section_checksum(payload) != stored {
-        return FrameStatus::Reject {
-            reason: format!("frame {tag:#x} payload fails its checksum"),
-            consumed: total,
-        };
-    }
-    match parse_payload(tag, payload) {
-        Ok(frame) => FrameStatus::Frame {
-            frame,
-            consumed: total,
         },
-        Err(reason) => FrameStatus::Reject {
-            reason,
-            consumed: total,
+        SectionRead::BadChecksum(s) => FrameStatus::Reject {
+            reason: format!("frame {:#x} payload fails its checksum", s.tag),
+            consumed: s.frame.end,
+        },
+        SectionRead::Ok(s) => match parse_payload(s.tag, &buf[s.payload]) {
+            Ok(frame) => FrameStatus::Frame {
+                frame,
+                consumed: s.frame.end,
+            },
+            Err(reason) => FrameStatus::Reject {
+                reason,
+                consumed: s.frame.end,
+            },
         },
     }
 }

@@ -42,6 +42,10 @@
 //! per loop: name, and a section stream `tag u8, len u32, checksum u64,
 //! payload` terminated by [`SEC_END`]. Known tags are [`SEC_NODES`],
 //! [`SEC_EDGES`], [`SEC_PRIORITY`], [`SEC_CCA`], [`SEC_FAMILY`].
+//!
+//! Snapshots (`crate::snapshot`) and serving wire frames (`veal-serve`) use
+//! the same section frame. [`read_section`] is the one reader of it; each
+//! format maps its [`SectionRead`] verdict to its own policy.
 
 use std::fmt;
 use std::ops::Range;
@@ -175,6 +179,9 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Bytes in a section header: tag u8, len u32, checksum u64.
+pub const SECTION_HEADER_LEN: usize = 13;
+
 /// FNV-1a checksum of one section payload, as stored in the section header.
 #[must_use]
 pub fn section_checksum(payload: &[u8]) -> u64 {
@@ -256,7 +263,7 @@ impl Writer {
 /// [`DecodeError::Truncated`], never a panic.
 pub struct Reader<'a> {
     buf: &'a [u8],
-    pub(crate) pos: usize,
+    pos: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -343,6 +350,118 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString)
+    }
+    /// Reads a u32 element count and rejects it with
+    /// [`DecodeError::BadCount`] when that many elements of at least
+    /// `min_bytes` each cannot fit in the bytes that remain — the bound
+    /// every decoder checks before it allocates for the elements.
+    #[inline]
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_bytes {
+            return Err(DecodeError::BadCount);
+        }
+        Ok(n)
+    }
+    /// [`DecodeError::SectionTrailing`] naming `tag` unless every byte was
+    /// consumed.
+    pub(crate) fn finish(&self, tag: u8) -> Result<(), DecodeError> {
+        if self.is_done() {
+            Ok(())
+        } else {
+            Err(DecodeError::SectionTrailing(tag))
+        }
+    }
+    /// Reads the next frame of a section stream terminated by the one-byte
+    /// `end` tag. `None` once the end tag is consumed; otherwise the
+    /// frame's [`read_section`] verdict (no length cap beyond the buffer),
+    /// with the reader moved past the frame when it is complete.
+    #[inline]
+    pub(crate) fn section(&mut self, end: u8) -> Option<SectionRead> {
+        if self.buf.get(self.pos) == Some(&end) {
+            self.pos += 1;
+            return None;
+        }
+        let read = read_section(self.buf, self.pos, usize::MAX);
+        if let SectionRead::Ok(s) | SectionRead::BadChecksum(s) = &read {
+            self.pos = s.frame.end;
+        }
+        Some(read)
+    }
+    /// Appends the location of every frame up to the `end` tag to `out`,
+    /// checksums unverified — the map a patcher uses before resealing.
+    /// [`DecodeError::Truncated`] if the stream ends before the end tag.
+    pub(crate) fn map_sections(
+        &mut self,
+        end: u8,
+        loop_index: usize,
+        out: &mut Vec<SectionRange>,
+    ) -> Result<(), DecodeError> {
+        while let Some(read) = self.section(end) {
+            match read {
+                SectionRead::Ok(s) | SectionRead::BadChecksum(s) => {
+                    out.push(SectionRange { loop_index, ..s });
+                }
+                SectionRead::Short | SectionRead::OverCap { .. } => {
+                    return Err(DecodeError::Truncated)
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What [`read_section`] found at one position of a buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SectionRead {
+    /// The buffer ends inside the header or the payload.
+    Short,
+    /// The header claims a payload longer than the caller's cap (or one
+    /// that cannot be addressed); the payload was not touched.
+    OverCap {
+        /// The section tag.
+        tag: u8,
+        /// The claimed payload length.
+        len: usize,
+    },
+    /// The frame is complete, but its payload fails the stored checksum.
+    BadChecksum(SectionRange),
+    /// The frame is complete and its payload matches the stored checksum.
+    Ok(SectionRange),
+}
+
+/// Reads the section frame that starts at `buf[at]` — the only parser of
+/// a section header. The claimed length is checked against `cap` before
+/// the payload is touched, and the checksum before any caller parses the
+/// payload. Never allocates, never panics. The returned [`SectionRange`]
+/// has `loop_index` 0; module walkers fill it in.
+#[must_use]
+#[inline]
+pub fn read_section(buf: &[u8], at: usize, cap: usize) -> SectionRead {
+    let Some(h) = buf.get(at..).and_then(|b| b.get(..SECTION_HEADER_LEN)) else {
+        return SectionRead::Short;
+    };
+    let tag = h[0];
+    let len = u32::from_le_bytes([h[1], h[2], h[3], h[4]]) as usize;
+    let payload_start = at + SECTION_HEADER_LEN;
+    let Some(end) = payload_start.checked_add(len).filter(|_| len <= cap) else {
+        return SectionRead::OverCap { tag, len };
+    };
+    if end > buf.len() {
+        return SectionRead::Short;
+    }
+    let stored = u64::from_le_bytes([h[5], h[6], h[7], h[8], h[9], h[10], h[11], h[12]]);
+    let range = SectionRange {
+        loop_index: 0,
+        tag,
+        frame: at..end,
+        checksum: at + 5..payload_start,
+        payload: payload_start..end,
+    };
+    if section_checksum(&buf[payload_start..end]) == stored {
+        SectionRead::Ok(range)
+    } else {
+        SectionRead::BadChecksum(range)
     }
 }
 
@@ -466,11 +585,8 @@ pub fn encode_module(module: &BinaryModule) -> Vec<u8> {
 
 fn decode_nodes(payload: &[u8]) -> Result<(Dfg, usize, Vec<OpId>), DecodeError> {
     let mut r = Reader::new(payload);
-    let nnodes = r.u32()? as usize;
     // Every node occupies at least one byte; a count beyond that is lying.
-    if nnodes > r.remaining() {
-        return Err(DecodeError::BadCount);
-    }
+    let nnodes = r.count(1)?;
     let mut dfg = Dfg::new();
     let mut dead_nodes = Vec::new();
     for _ in 0..nnodes {
@@ -501,18 +617,13 @@ fn decode_nodes(payload: &[u8]) -> Result<(Dfg, usize, Vec<OpId>), DecodeError> 
             b => return Err(DecodeError::BadNodeKind(b)),
         }
     }
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(SEC_NODES));
-    }
+    r.finish(SEC_NODES)?;
     Ok((dfg, nnodes, dead_nodes))
 }
 
 fn decode_edges(payload: &[u8], dfg: &mut Dfg, nnodes: usize) -> Result<(), DecodeError> {
     let mut r = Reader::new(payload);
-    let nedges = r.u32()? as usize;
-    if nedges > r.remaining() / EDGE_BYTES {
-        return Err(DecodeError::BadCount);
-    }
+    let nedges = r.count(EDGE_BYTES)?;
     for _ in 0..nedges {
         let src = r.u32()? as usize;
         let dst = r.u32()? as usize;
@@ -527,49 +638,33 @@ fn decode_edges(payload: &[u8], dfg: &mut Dfg, nnodes: usize) -> Result<(), Deco
         }
         dfg.add_edge(OpId::new(src), OpId::new(dst), distance, kind);
     }
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(SEC_EDGES));
-    }
-    Ok(())
+    r.finish(SEC_EDGES)
 }
 
 fn decode_priority(payload: &[u8]) -> Result<Vec<OpId>, DecodeError> {
     let mut r = Reader::new(payload);
-    let n = r.u32()? as usize;
-    if n > r.remaining() / 4 {
-        return Err(DecodeError::BadCount);
-    }
+    let n = r.count(4)?;
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
         order.push(OpId::new(r.u32()? as usize));
     }
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(SEC_PRIORITY));
-    }
+    r.finish(SEC_PRIORITY)?;
     Ok(order)
 }
 
 fn decode_family(payload: &[u8]) -> Result<u64, DecodeError> {
     let mut r = Reader::new(payload);
     let fp = r.u64()?;
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(SEC_FAMILY));
-    }
+    r.finish(SEC_FAMILY)?;
     Ok(fp)
 }
 
 fn decode_cca(payload: &[u8], nnodes: usize) -> Result<Vec<Vec<OpId>>, DecodeError> {
     let mut r = Reader::new(payload);
-    let g = r.u32()? as usize;
-    if g > r.remaining() / 4 {
-        return Err(DecodeError::BadCount);
-    }
+    let g = r.count(4)?;
     let mut groups = Vec::with_capacity(g);
     for _ in 0..g {
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 4 {
-            return Err(DecodeError::BadCount);
-        }
+        let n = r.count(4)?;
         let mut members = Vec::with_capacity(n);
         for _ in 0..n {
             let idx = r.u32()? as usize;
@@ -580,10 +675,20 @@ fn decode_cca(payload: &[u8], nnodes: usize) -> Result<Vec<Vec<OpId>>, DecodeErr
         }
         groups.push(members);
     }
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(SEC_CCA));
-    }
+    r.finish(SEC_CCA)?;
     Ok(groups)
+}
+
+/// Reads a module's magic and version; returns its declared loop count.
+fn module_header(r: &mut Reader) -> Result<usize, DecodeError> {
+    if r.take(4)? != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let version = r.u16()?;
+    if version != VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    Ok(r.u32()? as usize)
 }
 
 /// Deserializes a module.
@@ -594,14 +699,7 @@ fn decode_cca(payload: &[u8], nnodes: usize) -> Result<Vec<Vec<OpId>>, DecodeErr
 /// the bytes.
 pub fn decode_module(bytes: &[u8]) -> Result<BinaryModule, DecodeError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let nloops = r.u32()? as usize;
+    let nloops = module_header(&mut r)?;
     // Each loop needs at least a name length, two section frames, and an
     // end tag; one byte per loop is a safe lower bound.
     if nloops > r.remaining() {
@@ -610,26 +708,24 @@ pub fn decode_module(bytes: &[u8]) -> Result<BinaryModule, DecodeError> {
     let mut loops = Vec::with_capacity(nloops.min(1 << 16));
     for _ in 0..nloops {
         let name = r.str()?;
-        // Scan the section stream: verify checksums, slot the known tags,
-        // skip unknown ones (forward compatibility).
+        // Scan the section stream: any damage rejects the module; known
+        // tags are slotted, unknown ones skipped once their checksum holds
+        // (forward compatibility).
         let mut slots: [Option<&[u8]>; 5] = [None; 5];
-        loop {
-            let tag = r.u8()?;
-            if tag == SEC_END {
-                break;
-            }
-            let len = r.u32()? as usize;
-            let checksum = r.u64()?;
-            let payload = r.take(len)?;
-            if section_checksum(payload) != checksum {
-                return Err(DecodeError::SectionChecksum(tag));
-            }
-            if (SEC_NODES..=SEC_FAMILY).contains(&tag) {
-                let slot = &mut slots[(tag - 1) as usize];
-                if slot.is_some() {
-                    return Err(DecodeError::DuplicateSection(tag));
+        while let Some(read) = r.section(SEC_END) {
+            let s = match read {
+                SectionRead::Ok(s) => s,
+                SectionRead::BadChecksum(s) => return Err(DecodeError::SectionChecksum(s.tag)),
+                SectionRead::Short | SectionRead::OverCap { .. } => {
+                    return Err(DecodeError::Truncated)
                 }
-                *slot = Some(payload);
+            };
+            if (SEC_NODES..=SEC_FAMILY).contains(&s.tag) {
+                let slot = &mut slots[(s.tag - 1) as usize];
+                if slot.is_some() {
+                    return Err(DecodeError::DuplicateSection(s.tag));
+                }
+                *slot = Some(&bytes[s.payload]);
             }
         }
         let nodes_payload = slots[0].ok_or(DecodeError::MissingSection(SEC_NODES))?;
@@ -695,36 +791,11 @@ pub struct SectionRange {
 /// Returns [`DecodeError`] if the framing itself is malformed.
 pub fn section_ranges(bytes: &[u8]) -> Result<Vec<SectionRange>, DecodeError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let nloops = r.u32()? as usize;
+    let nloops = module_header(&mut r)?;
     let mut out = Vec::new();
     for loop_index in 0..nloops {
-        let _name = r.str()?;
-        loop {
-            let start = r.pos;
-            let tag = r.u8()?;
-            if tag == SEC_END {
-                break;
-            }
-            let len = r.u32()? as usize;
-            let checksum = r.pos..r.pos + 8;
-            r.u64()?;
-            let payload_start = r.pos;
-            r.take(len)?;
-            out.push(SectionRange {
-                loop_index,
-                tag,
-                frame: start..r.pos,
-                checksum,
-                payload: payload_start..r.pos,
-            });
-        }
+        r.str()?;
+        r.map_sections(SEC_END, loop_index, &mut out)?;
     }
     Ok(out)
 }

@@ -28,6 +28,11 @@
 //! [`check_restore`] is the restore-side oracle — whatever a hostile
 //! snapshot smuggles past the checksums must still re-verify as valid
 //! state, or the restore must have refused it.
+//!
+//! Every byte-format fuzzer — these two and the serving wire's
+//! `WireFuzzer` in `veal-serve` — draws its corruptions from one
+//! [`FuzzCore`]: transport faults, truncation, and reseal forgeries inside
+//! one section of a section map.
 
 use crate::binfmt::{reseal_section, section_ranges, SectionRange, SEC_CCA, SEC_PRIORITY};
 use crate::cache::CodeCache;
@@ -36,6 +41,7 @@ use crate::memo::{MemoEntry, TranslationMemo};
 use crate::snapshot::{restore_warm_state, snapshot_section_ranges, RestoreReport};
 use crate::translator::{TranslationError, TranslationPolicy, Translator};
 use crate::verify::{verify_priority, HintVerdict};
+use std::ops::Range;
 use veal_ir::rng::Rng64;
 use veal_ir::{verify_dfg, CostMeter, LoopBody, OpId};
 use veal_sched::verify_schedule;
@@ -62,7 +68,7 @@ pub enum FaultVerdict {
 /// reproducible from its (seed, case index) pair alone.
 #[derive(Debug)]
 pub struct HintFuzzer {
-    rng: Rng64,
+    core: FuzzCore,
 }
 
 impl HintFuzzer {
@@ -70,15 +76,14 @@ impl HintFuzzer {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         HintFuzzer {
-            rng: Rng64::new(seed),
+            core: FuzzCore::new(seed),
         }
     }
 
-    /// Byte-level transport fault: returns a corrupted copy of `bytes`.
-    /// One of: single-bit flip, byte overwrite, range zeroing, truncation,
-    /// range duplication, or a splice of one random range over another.
+    /// Byte-level transport fault: returns a corrupted copy of `bytes`
+    /// (see [`FuzzCore::transport_fault`]).
     pub fn corrupt_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
-        transport_fault(&mut self.rng, bytes)
+        self.core.transport_fault(bytes)
     }
 
     /// Semantic fault that forges transport integrity: corrupts bytes
@@ -86,49 +91,42 @@ impl HintFuzzer {
     /// checksum so the module still *decodes*. Returns `None` when the
     /// module's framing is unwalkable or it carries no hint section.
     pub fn corrupt_hint_payload(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
-        let sections: Vec<SectionRange> = section_ranges(bytes)
-            .ok()?
-            .into_iter()
-            .filter(|s| (s.tag == SEC_PRIORITY || s.tag == SEC_CCA) && s.payload.len() > 4)
-            .collect();
-        if sections.is_empty() {
-            return None;
-        }
-        let target = sections[self.rng.gen_range(0, sections.len())].clone();
-        let mut out = bytes.to_vec();
-        // Id words start past the leading count word.
-        let ids = target.payload.start + 4;
-        let nwords = (target.payload.end - ids) / 4;
-        match self.rng.gen_range(0, 5) {
-            // Id-level splice: copy one 4-byte id word over another. The
-            // result stays in the decoder's accepted range, so it *must*
-            // travel all the way to the semantic validator (a duplicated
-            // priority entry breaks the permutation; a duplicated CCA
-            // member breaks group disjointness).
-            0 | 1 if nwords >= 2 => {
-                let src = ids + 4 * self.rng.gen_range(0, nwords);
-                let dst = ids + 4 * self.rng.gen_range(0, nwords);
-                out.copy_within(src..src + 4, dst);
-            }
-            // Byte-level faults: corrupt past the count word 75% of the
-            // time so the mutation lands on ids more often than on framing
-            // (both are valid targets; ids exercise the decoder's range
-            // checks, counts its sub-decoders).
-            m => {
-                let lo = target.payload.start + usize::from(self.rng.gen_bool(0.75)) * 4;
-                let i = lo + self.rng.gen_range(0, target.payload.end - lo);
-                match m {
-                    0..=2 => out[i] ^= 1 << self.rng.gen_range(0, 8),
-                    3 => out[i] = (self.rng.next_u64() & 0xFF) as u8,
-                    _ => {
-                        let end = (i + self.rng.gen_range(1, 5)).min(target.payload.end);
-                        out[i..end].fill(0xFF);
+        let map = section_ranges(bytes).ok()?;
+        let eligible =
+            |s: &SectionRange| (s.tag == SEC_PRIORITY || s.tag == SEC_CCA) && s.payload.len() > 4;
+        self.core.forge(bytes, &map, eligible, |rng, out, p| {
+            // Id words start past the leading count word.
+            let ids = p.start + 4;
+            let nwords = (p.end - ids) / 4;
+            match rng.gen_range(0, 5) {
+                // Id-level splice: copy one 4-byte id word over another.
+                // The result stays in the decoder's accepted range, so it
+                // *must* travel all the way to the semantic validator (a
+                // duplicated priority entry breaks the permutation; a
+                // duplicated CCA member breaks group disjointness).
+                0 | 1 if nwords >= 2 => {
+                    let src = ids + 4 * rng.gen_range(0, nwords);
+                    let dst = ids + 4 * rng.gen_range(0, nwords);
+                    out.copy_within(src..src + 4, dst);
+                }
+                // Byte-level faults: corrupt past the count word 75% of
+                // the time so the mutation lands on ids more often than on
+                // framing (both are valid targets; ids exercise the
+                // decoder's range checks, counts its sub-decoders).
+                m => {
+                    let lo = p.start + usize::from(rng.gen_bool(0.75)) * 4;
+                    let i = lo + rng.gen_range(0, p.end - lo);
+                    match m {
+                        0..=2 => out[i] ^= 1 << rng.gen_range(0, 8),
+                        3 => out[i] = (rng.next_u64() & 0xFF) as u8,
+                        _ => {
+                            let end = (i + rng.gen_range(1, 5)).min(p.end);
+                            out[i..end].fill(0xFF);
+                        }
                     }
                 }
             }
-        }
-        crate::binfmt::reseal_section(&mut out, &target);
-        Some(out)
+        })
     }
 
     /// Structural mutation of decoded hints: the faults a stale or hostile
@@ -140,20 +138,21 @@ impl HintFuzzer {
         donor: Option<&StaticHints>,
     ) -> StaticHints {
         let mut out = hints.clone();
-        match self.rng.gen_range(0, 8) {
+        let rng = &mut self.core.rng;
+        match rng.gen_range(0, 8) {
             // Permute the priority order (stays a permutation — must pass
             // validation; the scheduler just gets a worse order).
             0 => {
                 if let Some(order) = &mut out.priority {
                     for i in (1..order.len()).rev() {
-                        order.swap(i, self.rng.gen_range(0, i + 1));
+                        order.swap(i, rng.gen_range(0, i + 1));
                     }
                 }
             }
             // Truncate the priority order.
             1 => {
                 if let Some(order) = &mut out.priority {
-                    let keep = self.rng.gen_range(0, order.len().max(1));
+                    let keep = rng.gen_range(0, order.len().max(1));
                     order.truncate(keep);
                 }
             }
@@ -161,8 +160,8 @@ impl HintFuzzer {
             2 => {
                 if let Some(order) = &mut out.priority {
                     if order.len() >= 2 {
-                        let src = self.rng.gen_range(0, order.len());
-                        let dst = self.rng.gen_range(0, order.len());
+                        let src = rng.gen_range(0, order.len());
+                        let dst = rng.gen_range(0, order.len());
                         order[dst] = order[src];
                     }
                 }
@@ -171,8 +170,8 @@ impl HintFuzzer {
             3 => {
                 if let Some(order) = &mut out.priority {
                     if !order.is_empty() {
-                        let i = self.rng.gen_range(0, order.len());
-                        order[i] = OpId::new(1000 + self.rng.gen_range(0, 9000));
+                        let i = rng.gen_range(0, order.len());
+                        order[i] = OpId::new(1000 + rng.gen_range(0, 9000));
                     }
                 }
             }
@@ -180,7 +179,7 @@ impl HintFuzzer {
             // donor loop's.
             4 => {
                 if let Some(d) = donor {
-                    if self.rng.gen_bool(0.5) {
+                    if rng.gen_bool(0.5) {
                         out.priority = d.priority.clone();
                     } else {
                         out.cca_groups = d.cca_groups.clone();
@@ -191,12 +190,12 @@ impl HintFuzzer {
             5 => {
                 if let Some(groups) = &mut out.cca_groups {
                     if !groups.is_empty() {
-                        let g = self.rng.gen_range(0, groups.len());
-                        if self.rng.gen_bool(0.5) {
+                        let g = rng.gen_range(0, groups.len());
+                        if rng.gen_bool(0.5) {
                             let dup = groups[g].clone();
                             groups.push(dup);
                         } else if !groups[g].is_empty() {
-                            let m = groups[g][self.rng.gen_range(0, groups[g].len())];
+                            let m = groups[g][rng.gen_range(0, groups[g].len())];
                             groups[g].push(m);
                         }
                     }
@@ -206,14 +205,14 @@ impl HintFuzzer {
             6 => {
                 if let Some(groups) = &mut out.cca_groups {
                     if let Some(g) = groups.iter_mut().find(|g| !g.is_empty()) {
-                        let i = self.rng.gen_range(0, g.len());
-                        g[i] = OpId::new(self.rng.gen_range(0, 2000));
+                        let i = rng.gen_range(0, g.len());
+                        g[i] = OpId::new(rng.gen_range(0, 2000));
                     }
                 }
             }
             // Drop a hint kind entirely (the legacy-binary path).
             _ => {
-                if self.rng.gen_bool(0.5) {
+                if rng.gen_bool(0.5) {
                     out.priority = None;
                 } else {
                     out.cca_groups = None;
@@ -224,46 +223,140 @@ impl HintFuzzer {
     }
 }
 
-/// The six transport-fault modes shared by the module and snapshot
-/// fuzzers: bit flip, byte overwrite, range zeroing, truncation, range
-/// duplication, range splice.
-fn transport_fault(rng: &mut Rng64, bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    if out.is_empty() {
-        return out;
-    }
-    match rng.gen_range(0, 6) {
-        0 => {
-            let i = rng.gen_range(0, out.len());
-            out[i] ^= 1 << rng.gen_range(0, 8);
-        }
-        1 => {
-            let i = rng.gen_range(0, out.len());
-            out[i] = (rng.next_u64() & 0xFF) as u8;
-        }
-        2 => {
-            let start = rng.gen_range(0, out.len());
-            let end = (start + rng.gen_range(1, 9)).min(out.len());
-            out[start..end].fill(0);
-        }
-        3 => {
-            out.truncate(rng.gen_range(0, out.len()));
-        }
-        4 => {
-            let start = rng.gen_range(0, out.len());
-            let end = (start + rng.gen_range(1, 17)).min(out.len());
-            let dup: Vec<u8> = out[start..end].to_vec();
-            out.splice(end..end, dup);
-        }
-        _ => {
-            let a = rng.gen_range(0, out.len());
-            let b = rng.gen_range(0, out.len());
-            let n = rng.gen_range(1, 9).min(out.len() - a.max(b));
-            let src: Vec<u8> = out[b..b + n].to_vec();
-            out[a..a + n].copy_from_slice(&src);
+/// The corruption steps every byte-format fuzzer shares, over one seeded
+/// generator: transport faults anywhere in a stream, truncation, and
+/// reseal forgeries inside one section of a caller-supplied section map
+/// ([`section_ranges`], [`snapshot_section_ranges`], or a map of wire
+/// frames built with [`crate::binfmt::read_section`]).
+///
+/// Same seed, same corruption sequence.
+#[derive(Debug)]
+pub struct FuzzCore {
+    /// The generator; format fuzzers draw their own choices from it too.
+    pub rng: Rng64,
+}
+
+/// Boundary values for count fields: all-ones, a sign-bit pattern for
+/// `as usize`/`as i32` confusion, plausible-looking but unpayable sizes,
+/// and zero.
+const BOUNDARIES: [u32; 6] = [
+    u32::MAX,
+    u32::MAX - 1,
+    0x8000_0000,
+    0x0100_0000,
+    0x0001_0000,
+    0,
+];
+
+impl FuzzCore {
+    /// Creates a core from a seed.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        FuzzCore {
+            rng: Rng64::new(seed),
         }
     }
-    out
+
+    /// Returns a corrupted copy of `bytes`, one of six transport-fault
+    /// modes: single-bit flip, byte overwrite, range zeroing, truncation,
+    /// range duplication, or a splice of one random range over another.
+    pub fn transport_fault(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let rng = &mut self.rng;
+        let mut out = bytes.to_vec();
+        if out.is_empty() {
+            return out;
+        }
+        match rng.gen_range(0, 6) {
+            0 => {
+                let i = rng.gen_range(0, out.len());
+                out[i] ^= 1 << rng.gen_range(0, 8);
+            }
+            1 => {
+                let i = rng.gen_range(0, out.len());
+                out[i] = (rng.next_u64() & 0xFF) as u8;
+            }
+            2 => {
+                let start = rng.gen_range(0, out.len());
+                let end = (start + rng.gen_range(1, 9)).min(out.len());
+                out[start..end].fill(0);
+            }
+            3 => {
+                out.truncate(rng.gen_range(0, out.len()));
+            }
+            4 => {
+                let start = rng.gen_range(0, out.len());
+                let end = (start + rng.gen_range(1, 17)).min(out.len());
+                let dup: Vec<u8> = out[start..end].to_vec();
+                out.splice(end..end, dup);
+            }
+            _ => {
+                let a = rng.gen_range(0, out.len());
+                let b = rng.gen_range(0, out.len());
+                let n = rng.gen_range(1, 9).min(out.len() - a.max(b));
+                let src: Vec<u8> = out[b..b + n].to_vec();
+                out[a..a + n].copy_from_slice(&src);
+            }
+        }
+        out
+    }
+
+    /// A crash mid-write or a peer hanging up: some prefix of `bytes`.
+    pub fn truncate(&mut self, bytes: &[u8]) -> Vec<u8> {
+        bytes[..self.rng.gen_range(0, bytes.len() + 1)].to_vec()
+    }
+
+    /// Reseal forgery: picks one section of `map` that `eligible` admits,
+    /// lets `stamp` edit a copy of `bytes` (it is handed the section's
+    /// payload range), and reseals that section's checksum so the damage
+    /// passes transport integrity. `None` if no section is eligible.
+    pub fn forge(
+        &mut self,
+        bytes: &[u8],
+        map: &[SectionRange],
+        eligible: impl Fn(&SectionRange) -> bool,
+        stamp: impl FnOnce(&mut Rng64, &mut [u8], Range<usize>),
+    ) -> Option<Vec<u8>> {
+        let n = map.iter().filter(|s| eligible(s)).count();
+        if n == 0 {
+            return None;
+        }
+        let pick = self.rng.gen_range(0, n);
+        let target = map.iter().filter(|s| eligible(s)).nth(pick)?;
+        let mut out = bytes.to_vec();
+        stamp(&mut self.rng, &mut out, target.payload.clone());
+        reseal_section(&mut out, target);
+        Some(out)
+    }
+
+    /// A boundary value for a count field (`u32::MAX`, a sign-bit
+    /// pattern, an unpayable size, zero), drawn from `rng`.
+    pub fn boundary_value(rng: &mut Rng64) -> u32 {
+        BOUNDARIES[rng.gen_range(0, BOUNDARIES.len())]
+    }
+
+    /// Boundary-count forgery: stamps a [`FuzzCore::boundary_value`] over a
+    /// 4-byte window, starting at a multiple of `align` inside one
+    /// section's payload, and reseals the checksum. A count field forged
+    /// this way is vouched for by transport integrity, so only the
+    /// decoder's bounds checks stand between it and an unchecked
+    /// allocation. `None` if no section has room for the window.
+    pub fn boundary_count(
+        &mut self,
+        bytes: &[u8],
+        map: &[SectionRange],
+        align: usize,
+    ) -> Option<Vec<u8>> {
+        self.forge(
+            bytes,
+            map,
+            |s| s.payload.len() >= 4,
+            |rng, out, p| {
+                let value = Self::boundary_value(rng);
+                let at = p.start + align * rng.gen_range(0, (p.len() - 4) / align + 1);
+                out[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            },
+        )
+    }
 }
 
 /// Deterministic corruption engine for warm-state snapshots
@@ -287,7 +380,7 @@ fn transport_fault(rng: &mut Rng64, bytes: &[u8]) -> Vec<u8> {
 ///   the decoders.
 #[derive(Debug)]
 pub struct SnapshotFuzzer {
-    rng: Rng64,
+    core: FuzzCore,
 }
 
 impl SnapshotFuzzer {
@@ -295,18 +388,18 @@ impl SnapshotFuzzer {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         SnapshotFuzzer {
-            rng: Rng64::new(seed),
+            core: FuzzCore::new(seed),
         }
     }
 
     /// Arbitrary transport fault (same six modes as [`HintFuzzer`]).
     pub fn corrupt_bytes(&mut self, bytes: &[u8]) -> Vec<u8> {
-        transport_fault(&mut self.rng, bytes)
+        self.core.transport_fault(bytes)
     }
 
     /// A crash mid-write: some prefix of the stream.
     pub fn truncate(&mut self, bytes: &[u8]) -> Vec<u8> {
-        bytes[..self.rng.gen_range(0, bytes.len() + 1)].to_vec()
+        self.core.truncate(bytes)
     }
 
     /// Corrupts bytes inside one section's payload, then reseals that
@@ -314,27 +407,22 @@ impl SnapshotFuzzer {
     /// reaches the semantic re-validators. `None` if the framing is
     /// unwalkable or there is no non-empty section.
     pub fn reseal_forgery(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
-        let sections: Vec<SectionRange> = snapshot_section_ranges(bytes)
-            .ok()?
-            .into_iter()
-            .filter(|s| !s.payload.is_empty())
-            .collect();
-        if sections.is_empty() {
-            return None;
-        }
-        let target = sections[self.rng.gen_range(0, sections.len())].clone();
-        let mut out = bytes.to_vec();
-        let hits = self.rng.gen_range(1, 4);
-        for _ in 0..hits {
-            let i = target.payload.start + self.rng.gen_range(0, target.payload.len());
-            match self.rng.gen_range(0, 3) {
-                0 => out[i] ^= 1 << self.rng.gen_range(0, 8),
-                1 => out[i] = (self.rng.next_u64() & 0xFF) as u8,
-                _ => out[i] = 0,
-            }
-        }
-        reseal_section(&mut out, &target);
-        Some(out)
+        let map = snapshot_section_ranges(bytes).ok()?;
+        self.core.forge(
+            bytes,
+            &map,
+            |s| !s.payload.is_empty(),
+            |rng, out, p| {
+                for _ in 0..rng.gen_range(1, 4) {
+                    let i = p.start + rng.gen_range(0, p.len());
+                    match rng.gen_range(0, 3) {
+                        0 => out[i] ^= 1 << rng.gen_range(0, 8),
+                        1 => out[i] = (rng.next_u64() & 0xFF) as u8,
+                        _ => out[i] = 0,
+                    }
+                }
+            },
+        )
     }
 
     /// Cross-version / cross-snapshot surgery. Half the time the version
@@ -344,12 +432,12 @@ impl SnapshotFuzzer {
     /// ours, checksums intact, so only the fingerprint gate stands between
     /// it and the memo. `None` if either framing is unwalkable.
     pub fn splice(&mut self, bytes: &[u8], donor: &[u8]) -> Option<Vec<u8>> {
-        if self.rng.gen_bool(0.5) {
+        if self.core.rng.gen_bool(0.5) {
             let mut out = bytes.to_vec();
             if out.len() < 6 {
                 return None;
             }
-            out[4] = out[4].wrapping_add(1 + (self.rng.next_u64() & 0x7F) as u8);
+            out[4] = out[4].wrapping_add(1 + (self.core.rng.next_u64() & 0x7F) as u8);
             return Some(out);
         }
         let ours = snapshot_section_ranges(bytes).ok()?;
@@ -361,8 +449,8 @@ impl SnapshotFuzzer {
         if ours.is_empty() || theirs.is_empty() {
             return None;
         }
-        let dst = &ours[self.rng.gen_range(0, ours.len())];
-        let src = &theirs[self.rng.gen_range(0, theirs.len())];
+        let dst = &ours[self.core.rng.gen_range(0, ours.len())];
+        let src = &theirs[self.core.rng.gen_range(0, theirs.len())];
         let mut out = Vec::with_capacity(bytes.len());
         out.extend_from_slice(&bytes[..dst.frame.start]);
         out.extend_from_slice(&donor[src.frame.clone()]);
@@ -372,39 +460,14 @@ impl SnapshotFuzzer {
 
     /// Stamps a boundary value over an aligned 4-byte window inside one
     /// section's payload and reseals the checksum. Counts and ids in the
-    /// snapshot codec are 32-bit little-endian fields, so this reliably
-    /// lands on one and forges `u32::MAX`-element graphs, sign-bit op ids,
-    /// and megabyte string lengths that transport integrity will vouch
-    /// for — the decoders' bounds checks are all that stands between the
-    /// forged count and an unchecked allocation. `None` if the framing is
-    /// unwalkable or no section has room for a 4-byte window.
+    /// snapshot codec are 32-bit little-endian words, so word-aligned
+    /// stamps reliably land on one and forge `u32::MAX`-element graphs,
+    /// sign-bit op ids, and megabyte string lengths that transport
+    /// integrity will vouch for (see [`FuzzCore::boundary_count`]). `None`
+    /// if the framing is unwalkable or no section has room for a window.
     pub fn boundary_counts(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
-        const BOUNDARIES: [u32; 6] = [
-            u32::MAX,
-            u32::MAX - 1,
-            0x8000_0000, // sign bit: `as usize`/`as i32` confusion probe
-            0x0100_0000, // plausible-looking but unpayable allocation
-            0x0001_0000,
-            0,
-        ];
-        let sections: Vec<SectionRange> = snapshot_section_ranges(bytes)
-            .ok()?
-            .into_iter()
-            .filter(|s| s.payload.len() >= 4)
-            .collect();
-        if sections.is_empty() {
-            return None;
-        }
-        let target = sections[self.rng.gen_range(0, sections.len())].clone();
-        let mut out = bytes.to_vec();
-        let value = BOUNDARIES[self.rng.gen_range(0, BOUNDARIES.len())];
-        // Word-align the window within the payload: the codec writes
-        // whole little-endian words, so aligned stamps hit real fields.
-        let words = target.payload.len() / 4;
-        let at = target.payload.start + 4 * self.rng.gen_range(0, words);
-        out[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        reseal_section(&mut out, &target);
-        Some(out)
+        let map = snapshot_section_ranges(bytes).ok()?;
+        self.core.boundary_count(bytes, &map, 4)
     }
 }
 

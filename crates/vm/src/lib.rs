@@ -63,8 +63,8 @@ pub mod translator;
 pub mod verify;
 
 pub use binfmt::{
-    decode_module, encode_module, reseal_section, section_checksum, section_ranges, BinaryModule,
-    DecodeError, EncodedLoop, Reader, SectionRange, Writer,
+    decode_module, encode_module, read_section, reseal_section, section_checksum, section_ranges,
+    BinaryModule, DecodeError, EncodedLoop, Reader, SectionRange, SectionRead, Writer,
 };
 pub use cache::{CacheStats, CodeCache};
 pub use disasm::disassemble;
@@ -87,5 +87,5 @@ pub use translator::{
 };
 pub use verify::{DegradeReason, HintError, HintVerdict};
 // The host execution backend, re-exported so VM users reach the artifact
-// type its session APIs hand out.
+// type `Translator::compile_executable` hands out.
 pub use veal_exec::{CompileError as ExecCompileError, ExecutableLoop, DEFAULT_LANES};

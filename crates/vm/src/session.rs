@@ -97,10 +97,6 @@ pub struct VmSession {
     /// the session's lifetime, so this is computed once).
     translator_fp: u64,
     cache: CodeCache<Arc<TranslatedLoop>>,
-    /// Host-backend cache: LoopVM artifacts (see [`veal_exec`]) keyed like
-    /// the control cache, filled lazily by
-    /// [`VmSession::invoke_executable`].
-    exec_cache: CodeCache<Arc<veal_exec::ExecutableLoop>>,
     rejected: HashSet<u64>,
     stats: VmStats,
     /// Optional cross-session translation memo (sweep engine, serving
@@ -148,7 +144,6 @@ impl VmSession {
             translator_fp: translator.fingerprint(),
             translator,
             cache,
-            exec_cache: CodeCache::paper_default(),
             rejected: HashSet::new(),
             stats: VmStats::default(),
             memo: None,
@@ -469,44 +464,6 @@ impl VmSession {
                 }
             }
         }
-    }
-
-    /// Handles one invocation on the **host execution** path: returns the
-    /// resident LoopVM artifact for `key`, compiling and caching it on a
-    /// miss.
-    ///
-    /// Accelerator-mapped loops go through the normal [`VmSession::invoke`]
-    /// machinery first — cache, memo, hint validation, quarantine,
-    /// watchdog all apply — and their bytecode is emitted in schedule
-    /// order. Loops the accelerator rejects still compile (topological
-    /// order): the host backend executes everything the reference
-    /// interpreter can. `None` means the body itself is not executable
-    /// (opaque call, cyclic, arity-malformed) and the caller keeps native
-    /// code.
-    pub fn invoke_executable(
-        &mut self,
-        key: u64,
-        body: &LoopBody,
-        hints: &StaticHints,
-    ) -> Option<Arc<veal_exec::ExecutableLoop>> {
-        if let Some(exe) = self.exec_cache.get(key) {
-            return Some(Arc::clone(exe));
-        }
-        let invocation = self.invoke(key, body, hints);
-        let schedule = invocation
-            .translated
-            .as_ref()
-            .map(|t| &t.scheduled.schedule);
-        let exe = Arc::new(veal_exec::ExecutableLoop::compile(&body.dfg, schedule).ok()?);
-        let bytes = exe.code_bytes();
-        self.exec_cache.insert_sized(key, Arc::clone(&exe), bytes);
-        Some(exe)
-    }
-
-    /// Host-backend (LoopVM) code-cache statistics.
-    #[must_use]
-    pub fn exec_cache_stats(&self) -> CacheStats {
-        self.exec_cache.stats()
     }
 
     /// Whether `key`'s hints are quarantined (no longer consulted).

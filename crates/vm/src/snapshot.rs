@@ -73,7 +73,7 @@ use veal_sched::{
     ScheduledLoop, SymbolicSchedule,
 };
 
-use crate::binfmt::{section_checksum, DecodeError, Reader, SectionRange, Writer};
+use crate::binfmt::{DecodeError, Reader, SectionRange, SectionRead, Writer};
 use crate::cache::CodeCache;
 use crate::memo::{MemoBackend, MemoEntry, MemoKey, MemoizedOutcome};
 use crate::translator::{
@@ -318,6 +318,14 @@ fn decode_key(r: &mut Reader) -> Result<MemoKey, EntryReject> {
     })
 }
 
+/// The fingerprint gate: an entry stored under anything but the `live`
+/// translator (or family) fingerprint is stale.
+fn fresh(stored: u64, live: u64) -> Result<(), EntryReject> {
+    (stored == live)
+        .then_some(())
+        .ok_or(EntryReject::StaleFingerprint { stored, live })
+}
+
 fn encode_hint_error(w: &mut Writer, e: &HintError) -> Result<(), EncodeError> {
     let op = |id: &OpId| fit_u32("diagnostic op id", id.index());
     match e {
@@ -556,11 +564,8 @@ fn encode_dfg(w: &mut Writer, dfg: &Dfg) -> Result<(), EncodeError> {
 }
 
 fn decode_dfg(r: &mut Reader) -> Result<Dfg, EntryReject> {
-    let nnodes = r.u32()? as usize;
     // Smallest possible node: kind tag + stream + flags + member count.
-    if nnodes > r.remaining() / 8 {
-        return Err(DecodeError::BadCount.into());
-    }
+    let nnodes = r.count(8)?;
     let mut dfg = Dfg::new();
     for _ in 0..nnodes {
         let kind = match r.u8()? {
@@ -578,10 +583,7 @@ fn decode_dfg(r: &mut Reader) -> Result<Dfg, EntryReject> {
         if flags > 3 {
             return Err(DecodeError::BadNodeKind(flags).into());
         }
-        let nmembers = r.u32()? as usize;
-        if nmembers > r.remaining() / 4 {
-            return Err(DecodeError::BadCount.into());
-        }
+        let nmembers = r.count(4)?;
         let mut members = Vec::with_capacity(nmembers);
         for _ in 0..nmembers {
             let m = r.u32()? as usize;
@@ -602,11 +604,8 @@ fn decode_dfg(r: &mut Reader) -> Result<Dfg, EntryReject> {
             dfg.mark_dead(id);
         }
     }
-    let nedges = r.u32()? as usize;
     // src + dst + distance + kind.
-    if nedges > r.remaining() / 13 {
-        return Err(DecodeError::BadCount.into());
-    }
+    let nedges = r.count(13)?;
     for _ in 0..nedges {
         let src = r.u32()? as usize;
         let dst = r.u32()? as usize;
@@ -648,12 +647,9 @@ fn decode_schedule(
     config: &AcceleratorConfig,
 ) -> Result<ModuloSchedule, EntryReject> {
     let ii = r.u32()?;
-    let n = r.u32()? as usize;
-    if n != dfg.len() {
-        return Err(DecodeError::BadCount.into());
-    }
     // time + resource kind + unit.
-    if n > r.remaining() / 17 {
+    let n = r.count(17)?;
+    if n != dfg.len() {
         return Err(DecodeError::BadCount.into());
     }
     let mut times = Vec::with_capacity(n);
@@ -697,11 +693,8 @@ fn decode_registers(r: &mut Reader, bound: usize) -> Result<RegisterAssignment, 
     let pressure = decode_pressure(r)?;
     let pinned_int = r.u64()? as usize;
     let pinned_fp = r.u64()? as usize;
-    let n = r.u32()? as usize;
     // op id + register.
-    if n > r.remaining() / 6 {
-        return Err(DecodeError::BadCount.into());
-    }
+    let n = r.count(6)?;
     let mut assignment = HashMap::with_capacity(n);
     for _ in 0..n {
         let i = r.u32()? as usize;
@@ -787,12 +780,7 @@ fn decode_point(
     config: &AcceleratorConfig,
 ) -> Result<(MemoKey, MemoEntry), EntryReject> {
     let key = decode_key(r)?;
-    if key.translator_fp != live_fp {
-        return Err(EntryReject::StaleFingerprint {
-            stored: key.translator_fp,
-            live: live_fp,
-        });
-    }
+    fresh(key.translator_fp, live_fp)?;
     let breakdown = decode_breakdown(r)?;
     let verdict = decode_verdict(r)?;
     let result = match r.u8()? {
@@ -848,12 +836,7 @@ fn encode_family(
 
 fn decode_family(r: &mut Reader, live_family_fp: u64) -> Result<(MemoKey, MemoEntry), EntryReject> {
     let key = decode_key(r)?;
-    if key.translator_fp != live_family_fp {
-        return Err(EntryReject::StaleFingerprint {
-            stored: key.translator_fp,
-            live: live_family_fp,
-        });
-    }
+    fresh(key.translator_fp, live_family_fp)?;
     let loop_len64 = r.u64()?;
     if loop_len64 > MAX_LOOP_LEN {
         return Err(DecodeError::BadCount.into());
@@ -872,10 +855,7 @@ fn decode_family(r: &mut Reader, live_family_fp: u64) -> Result<(MemoKey, MemoEn
             let static_order = match r.u8()? {
                 0 => None,
                 1 => {
-                    let n = r.u32()? as usize;
-                    if n > r.remaining() / 4 {
-                        return Err(DecodeError::BadCount.into());
-                    }
+                    let n = r.count(4)?;
                     let mut order = Vec::with_capacity(n);
                     for _ in 0..n {
                         let i = r.u32()? as usize;
@@ -934,13 +914,7 @@ fn decode_cache_entry(
     config: &AcceleratorConfig,
 ) -> Result<(u64, TranslatedLoop), EntryReject> {
     let key = r.u64()?;
-    let stored_fp = r.u64()?;
-    if stored_fp != live_fp {
-        return Err(EntryReject::StaleFingerprint {
-            stored: stored_fp,
-            live: live_fp,
-        });
-    }
+    fresh(r.u64()?, live_fp)?;
     Ok((key, decode_translated(r, config)?))
 }
 
@@ -1056,9 +1030,7 @@ pub fn decode_translated_loop(
 ) -> Result<TranslatedLoop, EntryReject> {
     let mut r = Reader::new(bytes);
     let t = decode_translated(&mut r, config)?;
-    if !r.is_done() {
-        return Err(DecodeError::SectionTrailing(0).into());
-    }
+    r.finish(0)?;
     Ok(t)
 }
 
@@ -1079,46 +1051,20 @@ pub fn restore_warm_state(
     mut cache: Option<&mut CodeCache<Arc<TranslatedLoop>>>,
 ) -> RestoreReport {
     let mut report = RestoreReport::default();
-    let mut r = Reader::new(bytes);
-    let header_ok = matches!(r.take(4), Ok(m) if m == SNAP_MAGIC)
-        && matches!(r.u16(), Ok(v) if v == SNAP_VERSION);
-    if !header_ok {
+    let Ok(r) = snapshot_body(bytes) else {
         return report;
-    }
+    };
     let live_fp = translator.fingerprint();
     let live_family_fp = family_fp.unwrap_or(0);
     let config = translator.config();
-    loop {
-        let tag = match r.u8() {
-            Ok(t) => t,
-            Err(_) => {
-                report.torn = true;
-                break;
-            }
-        };
-        if tag == SNAP_END {
-            break;
-        }
-        let (stored_sum, payload) = match next_frame(&mut r) {
-            Ok(f) => f,
-            Err(_) => {
-                // A torn length field loses the rest of the stream; every
-                // frame before it has already been restored.
-                report.torn = true;
-                break;
-            }
-        };
-        if section_checksum(payload) != stored_sum {
-            report.salvaged += 1;
-            continue;
-        }
+    let (bad, torn) = walk_sections(bytes, r, |tag, payload| {
         let mut pr = Reader::new(payload);
         match tag {
             // Advisory only: restore counts what it verifies, not what the
             // writer claims.
             SNAP_META => {}
             SNAP_POINT | SNAP_FAMILY => {
-                let Some(memo) = memo else { continue };
+                let Some(memo) = memo else { return };
                 let decoded = if tag == SNAP_POINT {
                     decode_point(&mut pr, live_fp, config)
                 } else {
@@ -1138,7 +1084,7 @@ pub fn restore_warm_state(
             }
             SNAP_CACHE => {
                 let Some(c) = cache.as_deref_mut() else {
-                    continue;
+                    return;
                 };
                 match decode_cache_entry(&mut pr, live_fp, config) {
                     Ok((key, t)) if pr.is_done() => {
@@ -1153,18 +1099,43 @@ pub fn restore_warm_state(
             }
             _ => report.salvaged += 1,
         }
-    }
+    });
+    report.salvaged += bad;
+    report.torn = torn;
     metrics::counter("vm.snapshot.restored").add(report.restored());
     metrics::counter("vm.snapshot.salvaged").add(report.salvaged);
     metrics::counter("vm.snapshot.rejected").add(report.rejected);
     report
 }
 
-fn next_frame<'a>(r: &mut Reader<'a>) -> Result<(u64, &'a [u8]), DecodeError> {
-    let len = r.u32()? as usize;
-    let sum = r.u64()?;
-    let payload = r.take(len)?;
-    Ok((sum, payload))
+/// Reads a snapshot's magic and version, leaving the reader at the first
+/// section.
+fn snapshot_body(bytes: &[u8]) -> Result<Reader<'_>, DecodeError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != SNAP_MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let v = r.u16()?;
+    if v != SNAP_VERSION {
+        return Err(DecodeError::BadVersion(v));
+    }
+    Ok(r)
+}
+
+/// Walks a snapshot's section stream, handing every intact section's tag
+/// and payload to `visit`. Returns how many sections failed their checksum
+/// (each is skipped) and whether the stream ended before [`SNAP_END`] — a
+/// torn tail loses only the frames after the tear.
+fn walk_sections(bytes: &[u8], mut r: Reader, mut visit: impl FnMut(u8, &[u8])) -> (u64, bool) {
+    let mut bad = 0;
+    while let Some(read) = r.section(SNAP_END) {
+        match read {
+            SectionRead::Ok(s) => visit(s.tag, &bytes[s.payload]),
+            SectionRead::BadChecksum(_) => bad += 1,
+            SectionRead::Short | SectionRead::OverCap { .. } => return (bad, true),
+        }
+    }
+    (bad, false)
 }
 
 /// Walks a snapshot's framing and checksums without decoding any entry.
@@ -1174,48 +1145,23 @@ fn next_frame<'a>(r: &mut Reader<'a>) -> Result<(u64, &'a [u8]), DecodeError> {
 /// Only [`DecodeError::BadMagic`] / [`DecodeError::BadVersion`] — anything
 /// else is reported in the returned [`SnapshotInfo`], not an error.
 pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotInfo, DecodeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4).map_err(|_| DecodeError::BadMagic)? != SNAP_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let v = r.u16().map_err(|_| DecodeError::BadMagic)?;
-    if v != SNAP_VERSION {
-        return Err(DecodeError::BadVersion(v));
-    }
+    let r = snapshot_body(bytes).map_err(|e| match e {
+        DecodeError::BadVersion(v) => DecodeError::BadVersion(v),
+        _ => DecodeError::BadMagic,
+    })?;
     let mut info = SnapshotInfo {
         total_bytes: bytes.len(),
         ..SnapshotInfo::default()
     };
-    loop {
-        let tag = match r.u8() {
-            Ok(t) => t,
-            Err(_) => {
-                info.torn = true;
-                break;
-            }
-        };
-        if tag == SNAP_END {
-            break;
-        }
-        let (stored_sum, payload) = match next_frame(&mut r) {
-            Ok(f) => f,
-            Err(_) => {
-                info.torn = true;
-                break;
-            }
-        };
-        if section_checksum(payload) != stored_sum {
-            info.bad_sections += 1;
-            continue;
-        }
-        match tag {
-            SNAP_META => info.meta = decode_meta(&mut Reader::new(payload)).ok(),
-            SNAP_POINT => info.points += 1,
-            SNAP_FAMILY => info.families += 1,
-            SNAP_CACHE => info.cache_entries += 1,
-            _ => info.unknown += 1,
-        }
-    }
+    let (bad, torn) = walk_sections(bytes, r, |tag, payload| match tag {
+        SNAP_META => info.meta = decode_meta(&mut Reader::new(payload)).ok(),
+        SNAP_POINT => info.points += 1,
+        SNAP_FAMILY => info.families += 1,
+        SNAP_CACHE => info.cache_entries += 1,
+        _ => info.unknown += 1,
+    });
+    info.bad_sections = bad;
+    info.torn = torn;
     Ok(info)
 }
 
@@ -1228,34 +1174,8 @@ pub fn inspect_snapshot(bytes: &[u8]) -> Result<SnapshotInfo, DecodeError> {
 ///
 /// Returns [`DecodeError`] if the framing itself is malformed.
 pub fn snapshot_section_ranges(bytes: &[u8]) -> Result<Vec<SectionRange>, DecodeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != SNAP_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let v = r.u16()?;
-    if v != SNAP_VERSION {
-        return Err(DecodeError::BadVersion(v));
-    }
     let mut out = Vec::new();
-    loop {
-        let start = r.pos;
-        let tag = r.u8()?;
-        if tag == SNAP_END {
-            break;
-        }
-        let len = r.u32()? as usize;
-        let checksum = r.pos..r.pos + 8;
-        r.u64()?;
-        let payload_start = r.pos;
-        r.take(len)?;
-        out.push(SectionRange {
-            loop_index: 0,
-            tag,
-            frame: start..r.pos,
-            checksum,
-            payload: payload_start..r.pos,
-        });
-    }
+    snapshot_body(bytes)?.map_sections(SNAP_END, 0, &mut out)?;
     Ok(out)
 }
 
@@ -1707,6 +1627,32 @@ mod tests {
                 verify_dfg(&tl.dfg).expect("admitted graph verifies");
                 assert!(verify_schedule(&tl.dfg, &tl.scheduled.schedule, t.config()).is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn a_forged_ii_is_a_rejection_not_an_abort() {
+        let t = translator();
+        let tl = t
+            .translate(&simple_loop("ii"), &StaticHints::none())
+            .result
+            .expect("simple loop translates");
+        let bytes = encode_translated_loop(&tl).expect("encodes");
+        // The schedule's II follows the graph and the CCA group count.
+        let mut w = Writer::new();
+        encode_dfg(&mut w, &tl.dfg).expect("graph encodes");
+        let at = w.buf.len() + 4;
+        assert_eq!(bytes[at..at + 4], tl.scheduled.schedule.ii.to_le_bytes());
+        for ii in [u32::MAX, 0x8000_0000, t.config().max_ii + 1] {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&ii.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_translated_loop(&forged, t.config()),
+                    Err(EntryReject::BadSchedule { .. })
+                ),
+                "II {ii}"
+            );
         }
     }
 }

@@ -16,7 +16,9 @@ use std::time::{Duration, Instant};
 use veal::serve::wire::{
     decode_frame, encode_frame, ErrorCode, FrameStatus, WireFrame, MAX_FRAME_LEN, WIRE_VERSION,
 };
-use veal::serve::{generate, LoadSpec, NetConfig, NetReport, ServeConfig, TranslationService};
+use veal::serve::{
+    generate, LoadSpec, NetConfig, NetReport, Request, ServeConfig, TranslationService, WireFuzzer,
+};
 use veal::vm::{BinaryModule, EncodedLoop};
 use veal::{encode_module, NetServer, WireClient};
 
@@ -552,4 +554,277 @@ fn a_peer_that_never_reads_is_throttled_without_stalling_others() {
         assert_eq!(g.translated_bytes, want_bytes, "bystander bytes diverged");
     }
     assert_eq!(report.tenants[0].stats, reference.tenants[0].stats);
+}
+
+/// `VEAL_FUZZ_CASES` scales the live fuzz arm: that many cases per prong
+/// (default 600; CI smoke runs 200).
+fn fuzz_cases() -> u64 {
+    std::env::var("VEAL_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(600)
+}
+
+/// `req` as a request frame carrying a packed single-loop module.
+fn module_frame(seq: u32, req: &Request) -> WireFrame {
+    WireFrame::ReqModule {
+        seq,
+        key: req.key,
+        module: encode_module(&BinaryModule {
+            loops: vec![EncodedLoop {
+                body: (*req.body).clone(),
+                priority_hint: req.hints.priority.clone(),
+                cca_hint: req.hints.cca_groups.clone(),
+                family_hint: None,
+            }],
+        }),
+    }
+}
+
+/// One connection sends fuzzed frame streams — transport faults,
+/// truncated or split streams, resealed forgeries, boundary-value counts,
+/// each case on a fresh connection after a clean hello — while a
+/// bystander connection serves its stream lock-step alongside. The server
+/// never panics, the fuzz reaches it (rejects and fatal closes are
+/// counted), and the bystander's outcomes and session statistics are
+/// bit-identical to a clean solo run.
+///
+/// The fuzzed streams hold requests and server replies but no `Hello`,
+/// `Shutdown` or `Bye`: a resealed hello may rightly claim the bystander's
+/// tenant, and an empty payload is one tag byte away from a real shutdown.
+#[test]
+fn fuzzed_frame_streams_leave_a_bystander_bit_identical() {
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let stream = generate(&spec(0xF022, 24, 1), &cfg.config, cfg.cca.as_ref());
+    let reference = TranslationService::new(cfg.clone()).run(&stream);
+    let (addr, handle) = spawn_server(cfg.clone(), NetConfig::default());
+    let mut bystander = WireClient::connect(&addr, 0, None, cfg.config.clone()).expect("connect");
+
+    let mut pool = vec![WireFrame::Error {
+        seq: 3,
+        code: ErrorCode::Shed,
+        message: "admission queue full".into(),
+    }];
+    for (seq, req) in (0u32..).zip(stream.iter().take(4)) {
+        pool.push(module_frame(seq, req));
+        pool.push(WireFrame::ReqHash {
+            seq,
+            key: req.key,
+            loop_hash: req.body.dfg.content_hash(),
+            hints_fp: req.hints.fingerprint(),
+        });
+        pool.push(WireFrame::Outcome {
+            seq,
+            key: req.key,
+            translation_cycles: 1,
+            translated: None,
+        });
+    }
+
+    let cases = 4 * fuzz_cases();
+    let mut fuzzer = WireFuzzer::new(0x11FE);
+    let mut got = Vec::new();
+    let mut cases_sent = 0;
+    for case in 0..cases {
+        let clean = fuzzer.stream(&pool, 4);
+        let fuzzed = match case % 4 {
+            0 => Some(fuzzer.corrupt_bytes(&clean)),
+            1 => Some(fuzzer.split(&clean)),
+            2 => fuzzer.reseal_forgery(&clean),
+            _ => fuzzer.boundary_counts(&clean),
+        };
+        if let Some(c) = fuzzed {
+            cases_sent += 1;
+            let mut s = raw_hello(&addr, 1);
+            s.set_nodelay(true).expect("nodelay");
+            s.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut start = 0;
+            for end in c.cuts.iter().copied().chain([c.bytes.len()]) {
+                // The server may already have closed on a fatal length.
+                let _ = s.write_all(&c.bytes[start..end]);
+                start = end;
+            }
+            // Hang up and wait for the server to close its end, so every
+            // case is handled before the next connects and no connection
+            // is refused at the accept cap.
+            let _ = s.shutdown(std::net::Shutdown::Write);
+            let mut sink = Vec::new();
+            if let Err(e) = s.read_to_end(&mut sink) {
+                assert_ne!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock,
+                    "case {case}: not closed"
+                );
+            }
+        }
+        // Spread the bystander's requests evenly over the fuzz cases.
+        while got.len() < stream.len() && got.len() as u64 * cases <= case * stream.len() as u64 {
+            let req = &stream[got.len()];
+            got.push(
+                bystander
+                    .request(req.key, &req.body, &req.hints)
+                    .expect("bystander"),
+            );
+        }
+    }
+    for req in &stream[got.len()..] {
+        got.push(
+            bystander
+                .request(req.key, &req.body, &req.hints)
+                .expect("bystander"),
+        );
+    }
+    bystander.shutdown().expect("graceful shutdown");
+    let report = handle.join().expect("the server survives every case");
+
+    let want = &reference.tenants[0].outcomes;
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert!(g.error.is_none(), "bystander refused: {:?}", g.error);
+        assert_eq!(g.translation_cycles, w.translation_cycles);
+        let want_bytes = w
+            .translated
+            .as_deref()
+            .map(|t| veal::encode_translated_loop(t).expect("schedule encodes"));
+        assert_eq!(g.translated_bytes, want_bytes, "bystander bytes diverged");
+    }
+    assert_eq!(report.tenants[0].stats, reference.tenants[0].stats);
+    assert!(report.decode_rejects > 0, "the fuzz reached the decoder");
+    assert!(
+        report.fatal_closes > 0,
+        "over-cap lengths closed connections"
+    );
+    assert_eq!(report.accepted, 1 + cases_sent, "no connection hit the cap");
+}
+
+/// Outcomes, per-tenant statistics and frame count of two connections,
+/// for tenants 0 and 1, that say hello and then send their requests
+/// lock-step, a round at a time. With `bytewise`, every frame goes out
+/// one byte per write, the two connections' bytes interleaved.
+fn two_connection_run(
+    cfg: &ServeConfig,
+    stream: &[Request],
+    bytewise: bool,
+) -> (Vec<Vec<WireFrame>>, Vec<veal::VmStats>, u64) {
+    let (addr, handle) = spawn_server(cfg.clone(), NetConfig::default());
+    let mut conns: Vec<(TcpStream, Vec<u8>)> = (0..2)
+        .map(|_| {
+            let s = TcpStream::connect(&addr).expect("connect");
+            s.set_nodelay(true).expect("nodelay");
+            s.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            (s, Vec::new())
+        })
+        .collect();
+    let mut queues: Vec<Vec<WireFrame>> = (0..2u32)
+        .map(|tenant| {
+            vec![WireFrame::Hello {
+                version: WIRE_VERSION,
+                tenant,
+                family_fp: None,
+            }]
+        })
+        .collect();
+    for (seq, req) in (0u32..).zip(stream) {
+        queues[req.tenant].push(module_frame(seq, req));
+    }
+    let mut answers: Vec<Vec<WireFrame>> = vec![Vec::new(), Vec::new()];
+    let rounds = queues.iter().map(Vec::len).max().unwrap_or(0);
+    for round in 0..rounds {
+        let bytes: Vec<Vec<u8>> = queues
+            .iter()
+            .map(|q| q.get(round).map(encode_frame).unwrap_or_default())
+            .collect();
+        if bytewise {
+            for i in 0..bytes.iter().map(Vec::len).max().unwrap_or(0) {
+                for ((s, _), b) in conns.iter_mut().zip(&bytes) {
+                    if let Some(byte) = b.get(i) {
+                        s.write_all(std::slice::from_ref(byte))
+                            .expect("write one byte");
+                    }
+                }
+            }
+        } else {
+            for ((s, _), b) in conns.iter_mut().zip(&bytes) {
+                s.write_all(b).expect("write whole frame");
+            }
+        }
+        // Round 0 is the hellos, which get no answer.
+        for (c, (s, buf)) in conns.iter_mut().enumerate() {
+            if round > 0 && round < queues[c].len() {
+                answers[c].push(read_frame(s, buf).expect("answer"));
+            }
+        }
+    }
+    let (s, buf) = &mut conns[0];
+    s.write_all(&encode_frame(&WireFrame::Shutdown))
+        .expect("send shutdown");
+    assert!(matches!(read_frame(s, buf), Ok(WireFrame::Bye)));
+    let report = handle.join().expect("server thread");
+    let stats = report.tenants.iter().map(|t| t.stats.clone()).collect();
+    (answers, stats, report.frames)
+}
+
+/// The reactor rebuilds frames that arrive a byte per read pass, on two
+/// connections at once, into exactly the outcomes whole-frame writes get.
+#[test]
+fn frames_written_a_byte_at_a_time_reassemble_on_two_connections() {
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let stream = generate(&spec(0xB17E, 16, 2), &cfg.config, cfg.cca.as_ref());
+    let whole = two_connection_run(&cfg, &stream, false);
+    let bytewise = two_connection_run(&cfg, &stream, true);
+    assert_eq!(whole.0.iter().map(Vec::len).sum::<usize>(), stream.len());
+    assert!(whole
+        .0
+        .iter()
+        .flatten()
+        .all(|f| matches!(f, WireFrame::Outcome { .. })));
+    assert_eq!(bytewise, whole);
+}
+
+/// A connection that sends a request and hangs up at once is gone before
+/// its outcome is ready. The outcome must be dropped, not delivered to the
+/// next connection that takes the same slot and tenant.
+#[test]
+fn an_outcome_never_reaches_a_connection_that_did_not_ask_for_it() {
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let stream = generate(&spec(0x57A1, 2, 1), &cfg.config, cfg.cca.as_ref());
+    let (addr, handle) = spawn_server(cfg.clone(), NetConfig::default());
+    let mut bystander = WireClient::connect(&addr, 0, None, cfg.config.clone()).expect("connect");
+    let o = bystander
+        .request(stream[0].key, &stream[0].body, &stream[0].hints)
+        .expect("bystander request");
+    assert!(o.error.is_none());
+
+    // Hello, request and hangup reach the reactor in one read pass.
+    {
+        let mut gone = raw_hello(&addr, 1);
+        gone.write_all(&encode_frame(&module_frame(7, &stream[0])))
+            .expect("send request");
+    }
+    thread::sleep(Duration::from_millis(200));
+
+    let mut next = raw_hello(&addr, 1);
+    next.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    next.write_all(&encode_frame(&module_frame(100, &stream[1])))
+        .expect("send request");
+    let mut buf = Vec::new();
+    match read_frame(&mut next, &mut buf).expect("answer") {
+        WireFrame::Outcome { seq, .. } => assert_eq!(seq, 100, "got another connection's outcome"),
+        other => panic!("unexpected frame {other:?}"),
+    }
+    drop(next);
+    bystander.shutdown().expect("graceful shutdown");
+    handle.join().expect("server thread");
 }
