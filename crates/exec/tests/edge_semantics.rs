@@ -109,3 +109,40 @@ fn float_to_int_saturates_on_non_finite() {
     assert_eq!(exe.run_lanes(6, &inputs, 8), golden);
     assert_eq!(exe.run_lanes(6, &inputs, 4), golden);
 }
+
+#[test]
+fn initials_naming_no_node_are_ignored() {
+    // An `initials` entry (or live-in) whose id lies outside the graph
+    // names no value: every executor ignores it, and the result equals a
+    // run without it.
+    let mut b = DfgBuilder::new();
+    let k = b.live_in();
+    let x = b.load_stream(0);
+    let m = b.op(Opcode::Mul, &[x, k]);
+    let acc = b.op(Opcode::Add, &[m]);
+    b.loop_carried(acc, acc, 2);
+    b.store_stream(1, acc);
+    b.mark_live_out(acc);
+    let dfg = b.finish();
+    let mut clean = Inputs::default();
+    clean.streams.insert(0, ints(&[1, 2, 3, 4, 5]));
+    clean.live_ins.insert(k, Value::Int(3));
+    clean.initials.insert(acc, Value::Int(100));
+    let mut stray = clean.clone();
+    let outside = veal_ir::OpId::new(dfg.len() + 7);
+    stray.initials.insert(outside, Value::Int(-1));
+    stray.live_ins.insert(outside, Value::Int(-1));
+
+    let golden = interpret(&dfg, 5, &clean).expect("interp");
+    assert_eq!(golden.stores[&1], ints(&[103, 106, 112, 118, 127]));
+    assert_eq!(interpret(&dfg, 5, &stray).expect("interp"), golden);
+    let exe = ExecutableLoop::compile(&dfg, None).expect("compiles");
+    assert_eq!(exe.run(5, &stray), golden, "scalar diverged");
+    for width in [4usize, 8] {
+        assert_eq!(
+            exe.run_lanes(5, &stray, width),
+            golden,
+            "lanes W={width} diverged"
+        );
+    }
+}

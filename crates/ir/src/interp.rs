@@ -12,6 +12,10 @@
 //! other value op but have no side effects; trip counts come from the
 //! caller, exactly as the accelerator's loop-control hardware would drive
 //! them.
+//!
+//! It is a plain topological-order walker and the oracle the executable
+//! backend (`veal-exec`) is checked against, so it shares no code with
+//! that backend.
 
 use crate::dfg::{Dfg, NodeKind};
 use crate::opcode::Opcode;
@@ -171,10 +175,13 @@ pub fn interpret(dfg: &Dfg, iterations: u64, inputs: &Inputs) -> Result<ExecResu
     let depth = max_dist + 1;
     let n = dfg.len();
     let mut history: Vec<Vec<Value>> = vec![vec![Value::Int(0); n]; depth];
-    // Seed initial values into every pre-loop slot.
+    // Seed initial values into every pre-loop slot. Entries naming no
+    // node of the graph are ignored, like unknown live-ins.
     for slot in &mut history {
         for (&id, &v) in &inputs.initials {
-            slot[id.index()] = v;
+            if let Some(cell) = slot.get_mut(id.index()) {
+                *cell = v;
+            }
         }
     }
 

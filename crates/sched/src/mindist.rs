@@ -3,7 +3,9 @@
 //! `MinDist[u][v]` is the largest value of `Σ latency − II·Σ distance` over
 //! all paths from `u` to `v`; scheduling must satisfy
 //! `t(v) ≥ t(u) + MinDist[u][v]`. The Swing ordering derives earliest/latest
-//! start times and node mobility from this matrix.
+//! start times and node mobility from this matrix; this implementation's
+//! ordering ranks recurrences by the diagonal alone, which
+//! [`max_self_distance`] reads per recurrence set without the full matrix.
 //!
 //! Computing it is Θ(n³) (Floyd–Warshall) — this is, by design, the
 //! dominant cost of translation, matching the paper's finding that priority
@@ -23,6 +25,71 @@ pub struct MinDist {
 }
 
 const NEG_INF: i64 = i64::MIN / 4;
+
+/// The one Floyd–Warshall kernel: longest-path weights at `ii` among
+/// `ops` (ascending ids), over the edges whose both ends are in `ops`,
+/// written row-major into `dist`, which the caller pre-fills with
+/// [`NEG_INF`] ("no path"). Unmetered; callers charge the cost model.
+///
+/// Pivots run in id order, so for an SCC's members this yields exactly
+/// the cells the whole-graph run computes for them, at any II: a cell
+/// between two members is only ever improved through a pivot that both
+/// reaches and is reached from them, i.e. another member.
+pub(crate) fn floyd_warshall(
+    dfg: &Dfg,
+    lat: &LatencyModel,
+    ii: u32,
+    ops: &[OpId],
+    dist: &mut [i64],
+) {
+    debug_assert!(ops.windows(2).all(|w| w[0] < w[1]), "ops must ascend");
+    let n = ops.len();
+    assert_eq!(dist.len(), n * n, "matrix size mismatch");
+    for (i, &u) in ops.iter().enumerate() {
+        let l = i64::from(dfg.node(u).opcode().map_or(0, |op| lat.latency(op)));
+        for e in dfg.succ_edges(u) {
+            let Ok(j) = ops.binary_search(&e.dst) else {
+                continue;
+            };
+            let w = l - i64::from(ii) * i64::from(e.distance);
+            let cell = &mut dist[i * n + j];
+            if w > *cell {
+                *cell = w;
+            }
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            let dik = dist[i * n + k];
+            if dik == NEG_INF {
+                continue;
+            }
+            for j in 0..n {
+                let through = dik + dist[k * n + j];
+                if dist[k * n + j] != NEG_INF && through > dist[i * n + j] {
+                    dist[i * n + j] = through;
+                }
+            }
+        }
+    }
+}
+
+/// The largest MinDist self-distance at `ii` among `set`'s members (its
+/// longest cycle weight), or `i64::MIN` when none lies on a cycle.
+/// `set` must be an SCC's members in ascending id order; Floyd–Warshall
+/// then runs over the set alone and returns what the diagonal of
+/// [`MinDist::compute_naive`] holds for those members. Unmetered.
+#[must_use]
+pub fn max_self_distance(dfg: &Dfg, lat: &LatencyModel, ii: u32, set: &[OpId]) -> i64 {
+    let s = set.len();
+    let mut dist = vec![NEG_INF; s * s];
+    floyd_warshall(dfg, lat, ii, set, &mut dist);
+    (0..s)
+        .map(|i| dist[i * s + i])
+        .filter(|&d| d != NEG_INF)
+        .max()
+        .unwrap_or(i64::MIN)
+}
 
 // Dropped matrices park their Θ(n²) buffers here (per thread) and the next
 // `compute` on the thread reclaims them, so sweeps that translate thousands
@@ -87,7 +154,8 @@ pub fn parametric_enabled() -> bool {
 /// Enables/disables the parametric fast path on this thread, returning
 /// the previous setting. Benchmarks and property tests use this to pit
 /// the naive and parametric kernels against each other; results are
-/// bit-identical either way.
+/// bit-identical either way. It no longer affects
+/// [`crate::swing_order`], which never reads the parametric structure.
 pub fn set_parametric_enabled(on: bool) -> bool {
     PARAMETRIC.with(|c| c.replace(on))
 }
@@ -148,19 +216,6 @@ impl MinDist {
         let ops: Vec<OpId> = dfg.schedulable_ops().collect();
         let n = ops.len();
         let mut dist = pooled_matrix(n * n);
-        let index_of = |id: OpId| ops.binary_search(&id).ok();
-
-        for (i, &u) in ops.iter().enumerate() {
-            let l = i64::from(dfg.node(u).opcode().map_or(0, |op| lat.latency(op)));
-            for e in dfg.succ_edges(u) {
-                let Some(j) = index_of(e.dst) else { continue };
-                let w = l - i64::from(ii) * i64::from(e.distance);
-                let cell = &mut dist[i * n + j];
-                if w > *cell {
-                    *cell = w;
-                }
-            }
-        }
         // Each Floyd–Warshall inner step is several host instructions
         // (two loads, compare, add, conditional store): charge 3 abstract
         // instructions per step, calibrated against the paper's x86
@@ -169,20 +224,7 @@ impl MinDist {
             Phase::Priority,
             3 * (n as u64) * (n as u64) * (n as u64) + 1,
         );
-        for k in 0..n {
-            for i in 0..n {
-                let dik = dist[i * n + k];
-                if dik == NEG_INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let through = dik + dist[k * n + j];
-                    if dist[k * n + j] != NEG_INF && through > dist[i * n + j] {
-                        dist[i * n + j] = through;
-                    }
-                }
-            }
-        }
+        floyd_warshall(dfg, lat, ii, &ops, &mut dist);
         MinDist { ops, dist, n }
     }
 

@@ -48,7 +48,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 use veal_accel::LatencyModel;
-use veal_ir::{CostMeter, Dfg, OpId, Phase};
+use veal_ir::{Dfg, OpId};
 
 /// One path/walk summary: `(Σ latency, Σ distance)`; evaluates to
 /// `L − II·D`.
@@ -69,24 +69,6 @@ pub struct MinDistParam {
     /// `n·n + 1` CSR offsets into `pairs`; cell `(i, j)` is row-major.
     offsets: Vec<u32>,
     pairs: Vec<Line>,
-    /// Memoized longest-path profiles over distance-0 edges (the Swing
-    /// ordering's `depths`/`heights`): they depend only on `(dfg, lat)` —
-    /// never on the II — so one computation serves every candidate II,
-    /// sweep point, and retry. The list scheduler computes its `depths`
-    /// directly instead, so a static-hint translation (which runs no
-    /// Swing ordering) never pays for building this structure. `None` for
-    /// ill-formed bodies (cyclic distance-0 subgraph).
-    profiles: Option<Profiles>,
-}
-
-/// Cached distance-0 longest-path profiles (see [`MinDistParam::profiles`]).
-#[derive(Debug, Clone)]
-struct Profiles {
-    depths: Vec<u32>,
-    heights: Vec<u32>,
-    /// Live-node count of the topological order — the abstract charge one
-    /// `depths`/`heights` pass makes (one unit per visited node).
-    topo_len: usize,
 }
 
 /// Dominance pruning at `prune_ii` (see module docs): dedupe by `D`
@@ -233,7 +215,6 @@ impl MinDistParam {
                 rec_mii: u32::MAX,
                 offsets: vec![0; n * n + 1],
                 pairs: Vec::new(),
-                profiles: None,
             };
         }
         // Re-prune at the real floor: every evaluation happens at
@@ -324,34 +305,13 @@ impl MinDistParam {
             }
         }
 
-        let profiles = cond.topo0().map(|topo| {
-            let mut scratch = CostMeter::new();
-            Profiles {
-                depths: crate::priority::depths(dfg, lat, &mut scratch, Phase::Priority),
-                heights: crate::priority::heights(dfg, lat, &mut scratch, Phase::Priority),
-                topo_len: topo.len(),
-            }
-        });
-
         MinDistParam {
             ops,
             n,
             rec_mii,
             offsets,
             pairs,
-            profiles,
         }
-    }
-
-    /// The memoized `(depths, heights, topo_len)` profiles, or `None` for
-    /// ill-formed bodies. `topo_len` is the abstract charge of one
-    /// recomputation pass (callers charging the cost model must charge it
-    /// once per pass they skip).
-    #[must_use]
-    pub fn profiles(&self) -> Option<(&[u32], &[u32], usize)> {
-        self.profiles
-            .as_ref()
-            .map(|p| (&p.depths[..], &p.heights[..], p.topo_len))
     }
 
     /// The schedulable ops covered, sorted by id (same list the dense
@@ -378,9 +338,7 @@ impl MinDistParam {
 
     /// Evaluates the envelope for a single `(u, v)` pair at `ii`: the
     /// MinDist entry, or `None` when `v` is unreachable from `u` (or
-    /// either id is not a schedulable op). O(log n + k) — the Swing
-    /// ordering uses this to read just the matrix diagonal (per-SCC
-    /// criticality) without materializing all n² cells.
+    /// either id is not a schedulable op). O(log n + k).
     #[must_use]
     pub fn eval_pair(&self, u: OpId, v: OpId, ii: u32) -> Option<i64> {
         let iu = self.ops.binary_search(&u).ok()?;

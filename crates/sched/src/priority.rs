@@ -4,14 +4,13 @@
 //!   \[19\]): recurrence sets first, most critical first, each extended with
 //!   the nodes on paths to previously ordered sets, swept alternately
 //!   bottom-up/top-down so every op is scheduled next to an already placed
-//!   neighbour. This is the high-quality, expensive priority (it computes
-//!   the MinDist matrix).
+//!   neighbour. This is the high-quality, expensive priority: the cost
+//!   model charges it a whole-graph MinDist Floyd–Warshall.
 //! * [`height_order`] — Rau's height-based priority \[24\]: a single
 //!   O(V + E) longest-path-to-sink pass. Much cheaper to compute, but with
 //!   a single-pass list scheduler it "often yielded sub-optimal schedules"
 //!   (paper §4.2) — reproduced here and evaluated in Figure 10.
 
-use crate::mindist::MinDist;
 use veal_accel::LatencyModel;
 use veal_ir::{CostMeter, Dfg, OpId, Phase};
 
@@ -121,39 +120,6 @@ fn bit_clear(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1 << (i % 64));
 }
 
-/// MinDist self-distance source for [`swing_order`]'s recurrence ranking.
-///
-/// The Swing ordering reads only the matrix *diagonal* (per-SCC
-/// criticality), so when the II-parametric structure is valid the full
-/// n² matrix is never materialized — each needed `(v, v)` cell is
-/// evaluated from its Pareto frontier on demand. The naive fallback keeps
-/// the dense matrix. Both sources yield identical values, and the caller
-/// charges the same `3n³ + 1` either way (the VM's cost model describes
-/// its Floyd–Warshall, not the host shortcut).
-enum SelfDist {
-    Param(std::sync::Arc<crate::param::MinDistParam>, u32),
-    Naive(MinDist),
-}
-
-impl SelfDist {
-    fn get(&self, v: OpId) -> Option<i64> {
-        match self {
-            SelfDist::Param(p, ii) => p.eval_pair(v, v, *ii),
-            SelfDist::Naive(md) => md.get(v, v),
-        }
-    }
-}
-
-/// The per-SCC criticality used to rank recurrence sets: the SCC's own
-/// RecMII (longest cycle ratio), recomputed cheaply from MinDist self
-/// distances at the loop's RecMII.
-fn scc_criticality(md: &SelfDist, scc: &[OpId]) -> i64 {
-    scc.iter()
-        .filter_map(|&v| md.get(v))
-        .max()
-        .unwrap_or(i64::MIN)
-}
-
 /// Swing modulo scheduling order.
 ///
 /// Recurrence sets are ordered by decreasing criticality; the nodes of each
@@ -163,48 +129,23 @@ fn scc_criticality(md: &SelfDist, scc: &[OpId]) -> i64 {
 /// one-sided or two-sided window to place it in.
 ///
 /// `ii` is the II the MinDist matrix is computed at (normally the MII).
+/// A set's criticality is its members' largest MinDist self-distance,
+/// read from a Floyd–Warshall over the set alone
+/// ([`crate::mindist::max_self_distance`]): the ordering never reads an
+/// off-diagonal cell, and a cycle through a node never leaves its SCC, so
+/// the values equal the whole-graph diagonal at any II, below RecMII
+/// too. The cost model still charges the whole-graph Floyd–Warshall
+/// (`3n³ + 1`).
 #[must_use]
 pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Vec<OpId> {
     if !veal_ir::data_oriented_enabled() {
         return crate::reference::swing_order(dfg, lat, ii, meter);
     }
-    // Same dispatch as `MinDist::compute`, but via the diagonal-only
-    // `SelfDist` view (the ordering never reads off-diagonal cells).
     let ii = ii.max(1);
-    let md = 'md: {
-        if crate::mindist::parametric_enabled() {
-            let param = crate::param::cached(dfg, lat);
-            if param.valid_at(ii) {
-                let n = param.ops().len() as u64;
-                meter.charge(Phase::Priority, 3 * n * n * n + 1);
-                break 'md SelfDist::Param(param, ii);
-            }
-        }
-        SelfDist::Naive(MinDist::compute_naive(dfg, lat, ii, meter))
-    };
-    // Depth/height profiles depend only on (dfg, lat), never on II, so the
-    // parametric path reuses the copies memoized in the cached
-    // `MinDistParam` — charging exactly what the two passes would have
-    // charged (one unit per topo node per pass). The fallback recomputes
-    // (and, for ill-formed bodies, panics) exactly as before.
-    let dh = match &md {
-        SelfDist::Param(p, _) => p.profiles().map(|(pd, ph, topo_len)| {
-            meter.charge(Phase::Priority, 2 * topo_len as u64);
-            (pd, ph)
-        }),
-        SelfDist::Naive(_) => None,
-    };
-    let owned;
-    let (d, h): (&[u32], &[u32]) = match dh {
-        Some(dh) => dh,
-        None => {
-            owned = (
-                depths(dfg, lat, meter, Phase::Priority),
-                heights(dfg, lat, meter, Phase::Priority),
-            );
-            (&owned.0, &owned.1)
-        }
-    };
+    let n = dfg.schedulable_ops().count() as u64;
+    meter.charge(Phase::Priority, 3 * n * n * n + 1);
+    let d = depths(dfg, lat, meter, Phase::Priority);
+    let h = heights(dfg, lat, meter, Phase::Priority);
 
     // Partition into recurrence sets and rank them. Only cyclic-SCC
     // membership matters here, so the allocation-free Tarjan suffices —
@@ -244,17 +185,17 @@ pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter
         }
     }
     veal_ir::with_arena(|a| a.give_u64(packed));
-    let mut rec_sets: Vec<&[OpId]> = set_bounds.iter().map(|&(s, e)| &members[s..e]).collect();
+    let mut rec_sets: Vec<(i64, &[OpId])> = set_bounds
+        .iter()
+        .map(|&(s, e)| {
+            let scc = &members[s..e];
+            (crate::mindist::max_self_distance(dfg, lat, ii, scc), scc)
+        })
+        .collect();
     // Component ids are assigned in Tarjan emission order, so the
     // pre-sort order matches the old comps() iteration; the key is total
     // anyway (distinct sets differ in their smallest member).
-    rec_sets.sort_by_key(|scc| {
-        (
-            std::cmp::Reverse(scc_criticality(&md, scc)),
-            std::cmp::Reverse(scc.len()),
-            scc[0],
-        )
-    });
+    rec_sets.sort_by_key(|&(c, scc)| (std::cmp::Reverse(c), std::cmp::Reverse(scc.len()), scc[0]));
 
     // Membership sets as u64 bitmask words over node slots. The emission
     // loop (and its per-iteration charge of `remaining.len()`) is
@@ -326,7 +267,7 @@ pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter
         }
     };
 
-    for scc in rec_sets {
+    for (_, scc) in rec_sets {
         emit_set(scc, &mut order, &mut placed);
     }
     // Final set: all remaining schedulable ops.

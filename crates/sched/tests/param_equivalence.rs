@@ -9,7 +9,9 @@
 //! 2. `swing_order` and `list_schedule` produce identical orders,
 //!    schedules, *and abstract cost breakdowns* with the parametric path
 //!    toggled on or off — the paper's measured translation cost must not
-//!    depend on the host algorithm.
+//!    depend on the host algorithm. `swing_order` reads no frontier, so
+//!    the same prong also pins it against `reference::swing_order`, which
+//!    ranks recurrences from the naive matrix's diagonal.
 //! 3. `rec_mii_from_frontier` equals the metered Bellman–Ford `rec_mii`.
 
 use veal_accel::{AcceleratorConfig, LatencyModel};
@@ -105,12 +107,24 @@ fn swing_and_schedule_identical_across_kernels() {
         let order_param = swing_order(&dfg, lat, mii, &mut m_param);
         let sched_param = list_schedule(&dfg, &config, &order_param, mii, summary, &mut m_param);
         set_parametric_enabled(was);
+        let mut m_matrix = CostMeter::new();
+        let order_matrix = veal_sched::reference::swing_order(&dfg, lat, mii, &mut m_matrix);
+        let _ = list_schedule(&dfg, &config, &order_matrix, mii, summary, &mut m_matrix);
 
         assert_eq!(order_naive, order_param, "case {case}: order diverged");
+        assert_eq!(
+            order_matrix, order_param,
+            "case {case}: order diverged from the naive diagonal"
+        );
         assert_eq!(
             m_naive.breakdown(),
             m_param.breakdown(),
             "case {case}: abstract cost diverged"
+        );
+        assert_eq!(
+            m_matrix.breakdown(),
+            m_param.breakdown(),
+            "case {case}: abstract cost diverged from the naive diagonal"
         );
         match (sched_naive, sched_param) {
             (Ok(a), Ok(b)) => {

@@ -6,7 +6,7 @@
 //! the dynamic translation meter.
 
 use veal_accel::AcceleratorConfig;
-use veal_cca::{identify_groups, CcaSpec};
+use veal_cca::{identify_groups, is_legal_group_current, CcaSpec, LegalityScratch};
 use veal_ir::streams::separate;
 use veal_ir::{CostMeter, LoopBody, OpId};
 use veal_sched::{rec_mii, res_mii, swing_order};
@@ -95,12 +95,14 @@ pub fn compute_hints(
         Some(spec) => {
             let gs = identify_groups(&dfg, spec, &mut scratch);
             let mut members: Vec<Vec<OpId>> = Vec::new();
+            let mut legality = LegalityScratch::new();
             for g in gs {
                 // Drop groups that became illegal once earlier groups
                 // collapsed (mutually dependent groups cannot both execute
-                // atomically) — the VM applies the same sequential check.
-                let cond = dfg.condensation();
-                if veal_cca::is_legal_group(&dfg, spec, &g.members, &cond) {
+                // atomically) — the VM applies the same sequential check,
+                // with the same verdicts, and neither rebuilds the
+                // condensation after each collapse.
+                if is_legal_group_current(&dfg, spec, &g.members, &mut legality) {
                     dfg.collapse(&g.members);
                     members.push(g.members);
                 }
