@@ -20,13 +20,18 @@
 //! refuses (opaque calls) must be refused by the compiler at the same
 //! node. Any divergence fails the run.
 //!
-//! Results are printed and written to `BENCH_exec.json`. Environment
-//! knobs for the CI smoke job: `VEAL_BENCH_APPS` truncates the suite,
-//! `VEAL_BENCH_TRIPS` sets iterations per timed run (default 4096),
-//! `VEAL_BENCH_REPS` the repetitions per pass (default 3),
-//! `VEAL_BENCH_PASSES` the best-of pass count (default 3), and
-//! `VEAL_BENCH_MIN_EXEC_SPEEDUP` (a float) makes the run exit non-zero
-//! when the lane-mode speedup lands below the floor.
+//! Results are printed and written to `BENCH_exec.json`, with lane-mode
+//! nanoseconds per iteration for each app. Environment knobs for the CI
+//! smoke job: `VEAL_BENCH_APPS` truncates the suite, `VEAL_BENCH_TRIPS`
+//! sets iterations per timed run (default 4096), `VEAL_BENCH_REPS` the
+//! repetitions per pass (default 3), `VEAL_BENCH_PASSES` the best-of pass
+//! count (default 3), and `VEAL_BENCH_MAX_LANES_SLOWDOWN` (a float) is a
+//! regression floor on lane mode's own time: the run exits non-zero when
+//! its lanes time exceeds that multiple of the time predicted by the
+//! per-app nanoseconds per iteration in the `BENCH_exec.json` already in
+//! the working directory (read before this run overwrites it). The
+//! floor never divides by the interpreter's time, so a faster
+//! interpreter cannot trip it.
 
 use std::time::Instant;
 use veal::exec::CompileError;
@@ -57,10 +62,27 @@ fn min_ns(passes: usize, mut f: impl FnMut()) -> u128 {
     best
 }
 
+/// The per-app lane-mode figures a `BENCH_exec.json` records, as
+/// `(app, ns per iteration)` pairs.
+fn baseline_lanes(json: &str) -> Option<Vec<(String, f64)>> {
+    let key = "\"lanes_ns_per_iter_by_app\": {";
+    let body = &json[json.find(key)? + key.len()..];
+    let body = &body[..body.find('}')?];
+    body.split(',')
+        .filter(|entry| !entry.trim().is_empty())
+        .map(|entry| {
+            let (name, value) = entry.split_once(':')?;
+            let name = name.trim().strip_prefix('"')?.strip_suffix('"')?;
+            Some((name.to_string(), value.trim().parse().ok()?))
+        })
+        .collect()
+}
+
 /// One legalized loop readied for the executors: body, fixture inputs,
 /// compiled artifact, and whether translation mapped it (schedule order)
 /// or it fell back to topological order.
 struct Prepped {
+    app: usize,
     body: LoopBody,
     inputs: Inputs,
     exe: ExecutableLoop,
@@ -75,6 +97,20 @@ fn main() {
     let reps = env_usize("VEAL_BENCH_REPS", 3).max(1);
     let passes = env_usize("VEAL_BENCH_PASSES", 3).max(1);
     let lanes = env_usize("VEAL_BENCH_LANES", DEFAULT_LANES).max(1);
+    let max_slowdown = std::env::var("VEAL_BENCH_MAX_LANES_SLOWDOWN")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok());
+    // The committed report is the baseline; read it before this run
+    // overwrites it.
+    let baseline = max_slowdown.map(|_| {
+        std::fs::read_to_string("BENCH_exec.json")
+            .ok()
+            .and_then(|json| baseline_lanes(&json))
+            .unwrap_or_else(|| {
+                eprintln!("bench_exec: no per-app lanes baseline in BENCH_exec.json");
+                std::process::exit(1);
+            })
+    });
 
     let config = AcceleratorConfig::paper_design();
     let spec = CcaSpec::paper();
@@ -89,7 +125,7 @@ fn main() {
     let mut prepped = Vec::new();
     let mut loops_total = 0usize;
     let mut refused = 0usize;
-    for app in &apps {
+    for (a, app) in apps.iter().enumerate() {
         for (i, l) in app.loops.iter().enumerate() {
             for part in legalize(&l.raw, &limits) {
                 loops_total += 1;
@@ -123,6 +159,7 @@ fn main() {
                         }
                         let mapped = translator.translate(&part.body, &hints).result.is_ok();
                         prepped.push(Prepped {
+                            app: a,
                             body: part.body,
                             inputs,
                             exe,
@@ -169,6 +206,8 @@ fn main() {
     let mut interp_ns = 0u128;
     let mut loopvm_ns = 0u128;
     let mut lanes_ns = 0u128;
+    let mut app_lanes_ns = vec![0u128; apps.len()];
+    let mut app_loops = vec![0u128; apps.len()];
     for p in &prepped {
         interp_ns += min_ns(passes, || {
             for _ in 0..reps {
@@ -180,12 +219,30 @@ fn main() {
                 std::hint::black_box(p.exe.run(trips, &p.inputs));
             }
         });
-        lanes_ns += min_ns(passes, || {
+        let ns = min_ns(passes, || {
             for _ in 0..reps {
                 std::hint::black_box(p.exe.run_lanes(trips, &p.inputs, lanes));
             }
         });
+        lanes_ns += ns;
+        app_lanes_ns[p.app] += ns;
+        app_loops[p.app] += 1;
     }
+    // Lane-mode ns per iteration for each app that has executable loops.
+    let iters_per_loop = u128::from(trips) * reps as u128;
+    let by_app: Vec<(&str, f64, u128)> = apps
+        .iter()
+        .enumerate()
+        .filter(|&(a, _)| app_loops[a] > 0)
+        .map(|(a, app)| {
+            let iters = app_loops[a] * iters_per_loop;
+            (
+                app.name.as_str(),
+                app_lanes_ns[a] as f64 / iters as f64,
+                iters,
+            )
+        })
+        .collect();
 
     let ms = |ns: u128| ns as f64 / 1e6;
     let loopvm_speedup = ms(interp_ns) / ms(loopvm_ns).max(1e-9);
@@ -205,26 +262,45 @@ fn main() {
          \"trips\": {trips},\n  \"reps\": {reps},\n  \"passes\": {passes},\n  \
          \"lane_width\": {lanes},\n  \"interp_ms\": {:.3},\n  \"loopvm_ms\": {:.3},\n  \
          \"lanes_ms\": {:.3},\n  \"loopvm_speedup\": {loopvm_speedup:.3},\n  \
-         \"lanes_speedup\": {lanes_speedup:.3},\n  \"checksums_identical\": true\n}}\n",
+         \"lanes_speedup\": {lanes_speedup:.3},\n  \"lanes_ns_per_iter_by_app\": {{{}\n  }},\n  \
+         \"checksums_identical\": true\n}}\n",
         apps.len(),
         prepped.len(),
         ms(interp_ns),
         ms(loopvm_ns),
         ms(lanes_ns),
+        by_app
+            .iter()
+            .map(|(name, ns, _)| format!("\n    \"{name}\": {ns:.3}"))
+            .collect::<Vec<_>>()
+            .join(","),
     );
     if let Err(e) = std::fs::write("BENCH_exec.json", json) {
         eprintln!("bench_exec: failed to write BENCH_exec.json: {e}");
         std::process::exit(1);
     }
     println!("wrote BENCH_exec.json");
-    if let Some(floor) = std::env::var("VEAL_BENCH_MIN_EXEC_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        if lanes_speedup < floor {
-            eprintln!("bench_exec: lanes_speedup {lanes_speedup:.3} below floor {floor:.3}");
+    if let (Some(floor), Some(baseline)) = (max_slowdown, baseline) {
+        // The committed per-app rates, weighted by this run's iterations:
+        // what these apps' lanes time was when the baseline was taken.
+        let mut expected_ns = 0.0;
+        for &(name, _, iters) in &by_app {
+            let Some(&(_, ns)) = baseline.iter().find(|(b, _)| b == name) else {
+                eprintln!("bench_exec: app {name} missing from the BENCH_exec.json baseline");
+                std::process::exit(1);
+            };
+            expected_ns += ns * iters as f64;
+        }
+        let slowdown = lanes_ns as f64 / expected_ns.max(1.0);
+        if slowdown > floor {
+            eprintln!(
+                "bench_exec: lanes {:.1} ms is {slowdown:.2}x the baseline's {:.1} ms, \
+                 above the {floor:.2}x floor",
+                ms(lanes_ns),
+                expected_ns / 1e6
+            );
             std::process::exit(1);
         }
-        println!("lanes_speedup {lanes_speedup:.3} >= floor {floor:.3}");
+        println!("lanes slowdown {slowdown:.3}x <= floor {floor:.3}x");
     }
 }

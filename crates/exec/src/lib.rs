@@ -47,6 +47,11 @@ use veal_sched::ModuloSchedule;
 /// iterations per inner step, matching the widest LA configurations.
 pub const DEFAULT_LANES: usize = 8;
 
+/// Widest batch [`ExecutableLoop::run_lanes`] runs. The ring holds
+/// `max_dist + width` rows rounded up to a power of two, so an unbounded
+/// width would size it by the caller's number instead of the loop.
+const MAX_LANES: usize = 1024;
+
 /// Why a graph could not be compiled to LoopVM bytecode. Mirrors
 /// [`veal_ir::interp::InterpError`] case for case: a graph the
 /// interpreter refuses must be refused here too, and vice versa.
@@ -211,10 +216,13 @@ impl ExecutableLoop {
 
     /// Executes the loop in lane-vectorized batches of `width`
     /// iterations (masked tail), reproducing the interpreter bit for
-    /// bit. `width` is clamped to at least 1.
+    /// bit. `width` is clamped to `1..=min(iterations, 1024)`: a batch
+    /// wider than the run or the lane ceiling only grows the ring, and
+    /// the result does not depend on the width.
     #[must_use]
     pub fn run_lanes(&self, iterations: u64, inputs: &Inputs, width: usize) -> ExecResult {
-        run::run_lanes(self, iterations, inputs, width.max(1))
+        let cap = iterations.clamp(1, MAX_LANES as u64) as usize;
+        run::run_lanes(self, iterations, inputs, width.clamp(1, cap))
     }
 
     /// Number of bytecode instructions.

@@ -5,12 +5,11 @@
 //! hardware-masked shifts, checked division to zero, saturating
 //! float-to-int casts, trailing operands defaulting to `Int(0)`.
 //!
-//! The ring bank replaces the interpreter's `Vec<Vec<Value>>` history: one
-//! flat `depth × n_slots` allocation, with `depth` a power of two so the
-//! `(iter − distance) % depth` row lookup is a mask. The scalar executor
-//! needs `depth > max_dist`; the lane executor needs
-//! `depth ≥ width + max_dist` so a batch's writes never alias the rows
-//! its own loop-carried reads still need.
+//! The ring bank is one flat `depth × n_slots` allocation per run, with
+//! `depth` a power of two so the `(iter − distance) % depth` row lookup
+//! is a mask. The scalar executor needs `depth > max_dist`; the lane
+//! executor needs `depth ≥ width + max_dist` so a batch's writes never
+//! alias the rows its own loop-carried reads still need.
 //!
 //! Stores are *staged*: execution order follows the schedule, but the
 //! interpreter pushes same-stream stores in `dfg.topo_order()` position,
@@ -45,7 +44,11 @@ struct Frame<'a> {
 impl<'a> Frame<'a> {
     fn new(exe: &ExecutableLoop, inputs: &'a Inputs, width: usize, iterations: u64) -> Self {
         let n = exe.n_slots;
-        let depth = (exe.max_dist + width).next_power_of_two();
+        let depth = exe
+            .max_dist
+            .checked_add(width)
+            .and_then(usize::checked_next_power_of_two)
+            .expect("ring depth overflows usize");
         let mut init = vec![Value::Int(0); n];
         for (&id, &v) in &inputs.initials {
             if id.index() < n {

@@ -3,15 +3,18 @@
 //! Random schedulable loops (`Rng64`-parameterized `synth_loop` specs)
 //! run through the reference interpreter, LoopVM scalar, and lane mode
 //! at W ∈ {1, 4, 8}; every executor must produce the identical checksum
-//! on the shared golden fixture, at full and partial trip counts. Bodies
-//! poisoned with an opaque call must be refused by all three, matching
+//! on the shared golden fixture, at full, partial and zero trip counts.
+//! Loop-carried reads start from seeded initial values, integer and
+//! float, including reads of constants and live-ins. Bodies poisoned
+//! with an opaque call must be refused by all three, matching
 //! `semantic_checksum`'s `None`.
 
 use veal_accel::AcceleratorConfig;
 use veal_exec::{CompileError, ExecutableLoop};
-use veal_ir::interp::{interpret, InterpError};
+use veal_ir::dfg::{EdgeKind, NodeKind};
+use veal_ir::interp::{interpret, Inputs, InterpError, Value};
 use veal_ir::rng::Rng64;
-use veal_ir::{CostMeter, Opcode};
+use veal_ir::{CostMeter, LoopBody, Opcode};
 use veal_sched::{modulo_schedule, ScheduleOptions};
 use veal_workloads::{fixture_inputs, fold_checksum, synth_loop, SynthSpec};
 
@@ -29,6 +32,58 @@ fn spec_for(seed: u64, rng: &mut Rng64) -> SynthSpec {
     }
 }
 
+/// A random initial value: an integer or a float.
+fn initial(rng: &mut Rng64) -> Value {
+    let v = rng.gen_range(0, 201) as i64 - 100;
+    if rng.gen_bool(0.5) {
+        Value::Fp(v as f64 / 8.0)
+    } else {
+        Value::Int(v)
+    }
+}
+
+/// Makes some reads reach before iteration 0 with something to find:
+/// adds a live-out op reading a constant and a live-in across
+/// iterations, then seeds initials on those two and on about half the
+/// other loop-carried sources.
+fn seed_initials(body: &mut LoopBody, rng: &mut Rng64) -> Inputs {
+    let dfg = &mut body.dfg;
+    let k = dfg.add_node(NodeKind::Const(rng.gen_range(1, 9) as i64));
+    let existing = dfg.live_in_ids().next();
+    let live_in = existing.unwrap_or_else(|| dfg.add_node(NodeKind::LiveIn));
+    let op = if rng.gen_bool(0.5) {
+        Opcode::FAdd
+    } else {
+        Opcode::Sub
+    };
+    let probe = dfg.add_node(NodeKind::Op(op));
+    dfg.add_edge(k, probe, 1 + rng.gen_range(0, 3) as u32, EdgeKind::Data);
+    dfg.add_edge(
+        live_in,
+        probe,
+        1 + rng.gen_range(0, 3) as u32,
+        EdgeKind::Data,
+    );
+    dfg.node_mut(probe).live_out = true;
+
+    let mut inputs = fixture_inputs(body);
+    inputs.initials.insert(k, initial(rng));
+    inputs.initials.insert(live_in, initial(rng));
+    let carried: Vec<_> = body
+        .dfg
+        .edges()
+        .iter()
+        .filter(|e| e.distance > 0)
+        .map(|e| e.src)
+        .collect();
+    for src in carried {
+        if rng.gen_bool(0.5) {
+            inputs.initials.insert(src, initial(rng));
+        }
+    }
+    inputs
+}
+
 #[test]
 fn corpus_checksums_are_identical_across_executors() {
     let mut rng = Rng64::new(0xD1FF_2026);
@@ -36,13 +91,15 @@ fn corpus_checksums_are_identical_across_executors() {
     let mut scheduled = 0usize;
     for case in 0..CASES {
         let spec = spec_for(case, &mut rng);
-        let body = synth_loop(&spec);
-        let inputs = fixture_inputs(&body);
-        // Vary the trip count so batch tails (iterations % W ≠ 0) and
-        // sub-width runs are exercised, not just the full fixture.
-        let iterations = [24u64, 1, 5, 8, 23][case as usize % 5];
+        let mut body = synth_loop(&spec);
+        let inputs = seed_initials(&mut body, &mut rng);
+        // Vary the trip count so batch tails (iterations % W ≠ 0),
+        // sub-width and empty runs are exercised, not just the full
+        // fixture.
+        let iterations = [24u64, 1, 5, 8, 23, 0][case as usize % 6];
         let golden = interpret(&body.dfg, iterations, &inputs)
             .unwrap_or_else(|e| panic!("case {case}: interp failed: {e}"));
+        assert_eq!(golden.live_outs.is_empty(), iterations == 0);
         let want = fold_checksum(&golden);
 
         // Mirror the translator pipeline: separate streams, then modulo
@@ -84,7 +141,6 @@ fn corpus_checksums_are_identical_across_executors() {
 
 #[test]
 fn opaque_bodies_are_refused_by_all_executors() {
-    use veal_ir::dfg::{EdgeKind, NodeKind};
     let mut rng = Rng64::new(0x0BAD_CA11);
     for case in 0..20u64 {
         let body = synth_loop(&spec_for(case, &mut rng));

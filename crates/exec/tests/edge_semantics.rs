@@ -146,3 +146,31 @@ fn initials_naming_no_node_are_ignored() {
         );
     }
 }
+
+#[test]
+fn huge_lane_widths_are_clamped() {
+    // A width past the trip count or the lane ceiling must neither
+    // overflow the ring-depth arithmetic nor size the ring by the width:
+    // the result is the same as at the default width.
+    let mut b = DfgBuilder::new();
+    let x = b.load_stream(0);
+    let acc = b.op(Opcode::Add, &[x]);
+    b.loop_carried(acc, acc, 2);
+    b.store_stream(1, acc);
+    b.mark_live_out(acc);
+    let dfg = b.finish();
+    let mut inputs = Inputs::default();
+    inputs.streams.insert(0, ints(&[1, 2, 3]));
+    inputs.initials.insert(acc, Value::Int(10));
+    let exe = ExecutableLoop::compile(&dfg, None).expect("compiles");
+    for trips in [0u64, 3, 5000] {
+        let golden = interpret(&dfg, trips, &inputs).expect("interp");
+        for width in [usize::MAX, 4_000_000_000, 1 << 40] {
+            assert_eq!(
+                exe.run_lanes(trips, &inputs, width),
+                golden,
+                "{trips} trips at W={width}"
+            );
+        }
+    }
+}

@@ -13,9 +13,9 @@
 //! caller, exactly as the accelerator's loop-control hardware would drive
 //! them.
 //!
-//! It is a plain topological-order walker and the oracle the executable
-//! backend (`veal-exec`) is checked against, so it shares no code with
-//! that backend.
+//! It is a topological-order walker over a graph resolved once per run,
+//! and the oracle the executable backend (`veal-exec`) is checked
+//! against, so it shares no code with that backend.
 
 use crate::dfg::{Dfg, NodeKind};
 use crate::opcode::Opcode;
@@ -137,11 +137,47 @@ pub fn reads_operands(dfg: &Dfg, v: OpId, op: Opcode) -> bool {
     }
 }
 
+/// The most operands any opcode's semantics read (`Select`, `FMac`);
+/// operands past these are never looked at.
+const MAX_ARGS: usize = 3;
+
+/// What an op does besides computing a value from its operands.
+#[derive(Clone, Copy)]
+enum Io {
+    /// A pure function of the operands (see [`eval`]).
+    Compute,
+    /// A stream load: index into the run's input slices.
+    Load(usize),
+    /// A store: index into the run's output vectors.
+    Store(usize),
+}
+
+/// One op of the topological order, resolved before the first
+/// iteration.
+struct Step {
+    /// Node slot written (the op's id).
+    node: usize,
+    op: Opcode,
+    io: Io,
+    /// This op's operands, `operands[args.0 .. args.1]`.
+    args: (usize, usize),
+}
+
 /// Interprets `dfg` for `iterations` iterations.
+///
+/// The graph is resolved once per run, before the first iteration: the
+/// topological order with each op's opcode, its operands as flat
+/// `(source slot, distance)` pairs in edge-insertion order, one input
+/// slice per stream load and one output vector per store stream. The
+/// history is one flat ring of `depth × n` values. An iteration then
+/// reads operands into a fixed buffer, with no allocation and no map
+/// lookup.
 ///
 /// # Errors
 ///
-/// See [`InterpError`].
+/// See [`InterpError`]. `Opaque` and `Arity` report the first offender
+/// in topological order, and only once an iteration runs: zero
+/// iterations of any acyclic graph return `Ok` with an empty result.
 ///
 /// # Example
 ///
@@ -169,86 +205,145 @@ pub fn reads_operands(dfg: &Dfg, v: OpId, op: Opcode) -> bool {
 /// ```
 pub fn interpret(dfg: &Dfg, iterations: u64, inputs: &Inputs) -> Result<ExecResult, InterpError> {
     let order = dfg.topo_order().map_err(|_| InterpError::CyclicGraph)?;
-    // History ring: value of each node for the last `max_distance`
-    // iterations plus the current one.
-    let max_dist = dfg.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize;
-    let depth = max_dist + 1;
-    let n = dfg.len();
-    let mut history: Vec<Vec<Value>> = vec![vec![Value::Int(0); n]; depth];
-    // Seed initial values into every pre-loop slot. Entries naming no
-    // node of the graph are ignored, like unknown live-ins.
-    for slot in &mut history {
-        for (&id, &v) in &inputs.initials {
-            if let Some(cell) = slot.get_mut(id.index()) {
-                *cell = v;
+
+    // --- resolve the graph -------------------------------------------
+    let mut steps = Vec::with_capacity(order.len());
+    let mut operands: Vec<(usize, u64)> = Vec::new();
+    let mut loads: Vec<&[Value]> = Vec::new();
+    let mut out_index: BTreeMap<u16, usize> = BTreeMap::new();
+    let mut fault = None;
+    for &v in &order {
+        let Some(op) = dfg.node(v).opcode() else {
+            continue;
+        };
+        let start = operands.len();
+        operands.extend(
+            dfg.pred_edges(v)
+                .take(MAX_ARGS)
+                .map(|e| (e.src.index(), u64::from(e.distance))),
+        );
+        if fault.is_none() {
+            if matches!(op, Opcode::Call | Opcode::Cca) {
+                fault = Some(InterpError::Opaque(v));
+            } else if operands.len() == start && reads_operands(dfg, v, op) {
+                fault = Some(InterpError::Arity(v));
             }
+        }
+        let stream = dfg.node(v).stream;
+        let io = match (op, stream) {
+            (Opcode::Load, Some(s)) => {
+                loads.push(inputs.streams.get(&s).map_or(&[], Vec::as_slice));
+                Io::Load(loads.len() - 1)
+            }
+            (Opcode::Store, s) => {
+                let next = out_index.len();
+                Io::Store(*out_index.entry(s.unwrap_or(u16::MAX)).or_insert(next))
+            }
+            _ => Io::Compute,
+        };
+        steps.push(Step {
+            node: v.index(),
+            op,
+            io,
+            args: (start, operands.len()),
+        });
+    }
+    if iterations == 0 {
+        return Ok(ExecResult::default());
+    }
+    if let Some(fault) = fault {
+        return Err(fault);
+    }
+
+    // --- the history ring --------------------------------------------
+    // Row `iter & mask` holds iteration `iter`'s values; `depth` exceeds
+    // every loop-carried distance, so a read never finds a row that was
+    // overwritten since.
+    let max_dist = dfg.edges().iter().map(|e| e.distance).max().unwrap_or(0) as usize;
+    let depth = (max_dist + 1).next_power_of_two();
+    let mask = depth - 1;
+    let n = dfg.len();
+    // Reads that reach before iteration 0 take the initial value.
+    // Entries naming no node of the graph are ignored, like unknown
+    // live-ins.
+    let mut init = vec![Value::Int(0); n];
+    for (&id, &v) in &inputs.initials {
+        if let Some(cell) = init.get_mut(id.index()) {
+            *cell = v;
+        }
+    }
+    let mut history = Vec::with_capacity(depth * n);
+    for _ in 0..depth {
+        history.extend_from_slice(&init);
+    }
+    // Constants and live-ins never change, so their column holds their
+    // value in every row from the start.
+    for id in dfg.live_ids() {
+        let value = match &dfg.node(id).kind {
+            NodeKind::Const(c) => Value::Int(*c),
+            NodeKind::LiveIn => inputs.live_ins.get(&id).copied().unwrap_or(Value::Int(0)),
+            NodeKind::Op(_) => continue,
+        };
+        for row in 0..depth {
+            history[row * n + id.index()] = value;
+        }
+    }
+    let mut outs: Vec<Vec<Value>> = vec![Vec::new(); out_index.len()];
+
+    // --- iterate -----------------------------------------------------
+    for iter in 0..iterations {
+        let cur = (iter as usize & mask) * n;
+        for step in &steps {
+            let mut args = [Value::Int(0); MAX_ARGS];
+            for (arg, &(src, d)) in args.iter_mut().zip(&operands[step.args.0..step.args.1]) {
+                *arg = if d > iter {
+                    init[src]
+                } else {
+                    history[((iter - d) as usize & mask) * n + src]
+                };
+            }
+            let value = match step.io {
+                Io::Compute => eval(step.op, step.node, &args),
+                Io::Load(k) => loads[k]
+                    .get(iter as usize)
+                    .copied()
+                    .unwrap_or(Value::Int(0)),
+                Io::Store(k) => {
+                    outs[k].push(args[0]);
+                    args[0]
+                }
+            };
+            history[cur + step.node] = value;
         }
     }
 
-    let mut result = ExecResult::default();
-    for iter in 0..iterations {
-        let cur = (iter as usize) % depth;
-        // Start the row from pseudo-node values.
-        for id in dfg.live_ids() {
-            match &dfg.node(id).kind {
-                NodeKind::Const(c) => history[cur][id.index()] = Value::Int(*c),
-                NodeKind::LiveIn => {
-                    history[cur][id.index()] =
-                        inputs.live_ins.get(&id).copied().unwrap_or(Value::Int(0));
-                }
-                NodeKind::Op(_) => {}
-            }
-        }
-        for &v in &order {
-            let Some(op) = dfg.node(v).opcode() else {
-                continue;
-            };
-            // Operand values, in edge-insertion order.
-            let mut args: Vec<Value> = Vec::new();
-            for e in dfg.pred_edges(v) {
-                let d = e.distance as usize;
-                if d > iter as usize {
-                    args.push(
-                        inputs
-                            .initials
-                            .get(&e.src)
-                            .copied()
-                            .unwrap_or(Value::Int(0)),
-                    );
-                } else {
-                    let slot = (iter as usize - d) % depth;
-                    args.push(history[slot][e.src.index()]);
-                }
-            }
-            let value = eval(dfg, v, op, &args, iter, inputs, &mut result)?;
-            history[cur][v.index()] = value;
-        }
-        for id in dfg.live_out_ids() {
-            result.live_outs.insert(id, history[cur][id.index()]);
-        }
-    }
-    Ok(result)
+    // --- package -----------------------------------------------------
+    // Every store pushes once per iteration, so each store stream has an
+    // entry; live-outs are the last iteration's row.
+    let last = ((iterations - 1) as usize & mask) * n;
+    Ok(ExecResult {
+        stores: out_index
+            .into_iter()
+            .map(|(s, k)| (s, std::mem::take(&mut outs[k])))
+            .collect(),
+        live_outs: dfg
+            .live_out_ids()
+            .map(|id| (id, history[last + id.index()]))
+            .collect(),
+    })
 }
 
-fn eval(
-    dfg: &Dfg,
-    v: OpId,
-    op: Opcode,
-    args: &[Value],
-    iter: u64,
-    inputs: &Inputs,
-    result: &mut ExecResult,
-) -> Result<Value, InterpError> {
-    if args.is_empty() && reads_operands(dfg, v, op) {
-        return Err(InterpError::Arity(v));
-    }
-    let a = |i: usize| args.get(i).copied().unwrap_or(Value::Int(0));
+/// The value of op `op` at node slot `v` from its operands (trailing
+/// ones already `Int(0)`). Stream loads and stores are handled by the
+/// caller.
+fn eval(op: Opcode, v: usize, args: &[Value; MAX_ARGS]) -> Value {
+    let a = |i: usize| args[i];
     let ai = |i: usize| a(i).as_int();
     let af = |i: usize| a(i).as_fp();
     // Shift amounts are masked like real hardware.
     let sh = |i: usize| (ai(i) & 63) as u32;
     use Opcode::*;
-    Ok(match op {
+    match op {
         Add => Value::Int(ai(0).wrapping_add(ai(1))),
         Sub => Value::Int(ai(0).wrapping_sub(ai(1))),
         And => Value::Int(ai(0) & ai(1)),
@@ -291,36 +386,20 @@ fn eval(
         FtoI => Value::Int(af(0) as i64),
         FMac => Value::Fp(af(0) * af(1) + af(2)),
         FSqrt => Value::Fp(af(0).abs().sqrt()),
-        Load => {
-            if let Some(s) = dfg.node(v).stream {
-                inputs
-                    .streams
-                    .get(&s)
-                    .and_then(|data| data.get(iter as usize))
-                    .copied()
-                    .unwrap_or(Value::Int(0))
-            } else {
-                // A full-form load addressed by a generator: model a simple
-                // content function of the address *and* the load site, so
-                // distinct arrays hold distinct data even when their
-                // address sequences coincide.
-                Value::Int(
-                    ai(0)
-                        .wrapping_mul(31)
-                        .wrapping_add(7)
-                        .wrapping_add(v.index() as i64 * 17),
-                )
-            }
-        }
-        Store => {
-            let value = a(0);
-            let s = dfg.node(v).stream.unwrap_or(u16::MAX);
-            result.stores.entry(s).or_default().push(value);
-            value
-        }
+        // A full-form load addressed by a generator: model a simple
+        // content function of the address *and* the load site, so
+        // distinct arrays hold distinct data even when their address
+        // sequences coincide.
+        Load => Value::Int(
+            ai(0)
+                .wrapping_mul(31)
+                .wrapping_add(7)
+                .wrapping_add(v as i64 * 17),
+        ),
         Br | BrCond | Ret => Value::Int(0),
-        Call | Cca => return Err(InterpError::Opaque(v)),
-    })
+        Store => unreachable!("stores are evaluated by the caller"),
+        Call | Cca => unreachable!("opaque ops are refused before the first iteration"),
+    }
 }
 
 #[cfg(test)]
@@ -481,6 +560,90 @@ mod tests {
         inputs.streams.insert(0, ints(&[41]));
         let out = interpret(&dfg, 1, &inputs).unwrap();
         assert_eq!(out.live_outs[&s], Value::Int(41));
+    }
+
+    #[test]
+    fn zero_iterations_run_nothing_even_on_a_defective_graph() {
+        // Opaque and arity errors surface only once an iteration runs.
+        let mut b = DfgBuilder::new();
+        let x = b.load_stream(0);
+        let call = b.op(Opcode::Call, &[x]);
+        let bad = b.op(Opcode::Add, &[]);
+        b.store_stream(1, x);
+        b.mark_live_out(call);
+        b.mark_live_out(bad);
+        let dfg = b.finish();
+        let mut inputs = Inputs::default();
+        inputs.streams.insert(0, ints(&[1, 2]));
+        let out = interpret(&dfg, 0, &inputs).unwrap();
+        assert!(out.stores.is_empty());
+        assert!(out.live_outs.is_empty());
+        assert!(interpret(&dfg, 1, &inputs).is_err());
+    }
+
+    #[test]
+    fn first_defect_in_topo_order_is_reported() {
+        // `Call` consumes the operand-free `Add`, so the arity error comes
+        // first by dependence.
+        let mut b = DfgBuilder::new();
+        let bad = b.op(Opcode::Add, &[]);
+        let call = b.op(Opcode::Call, &[bad]);
+        b.mark_live_out(call);
+        let dfg = b.finish();
+        assert_eq!(
+            interpret(&dfg, 3, &Inputs::default()).unwrap_err(),
+            InterpError::Arity(bad)
+        );
+
+        // Two unrelated defects: whichever the topological order visits
+        // first is named. Building them in both orders reaches both.
+        let mut named = Vec::new();
+        for call_first in [false, true] {
+            let mut b = DfgBuilder::new();
+            let (bad, call) = if call_first {
+                let call = b.op(Opcode::Call, &[]);
+                (b.op(Opcode::Add, &[]), call)
+            } else {
+                let bad = b.op(Opcode::Add, &[]);
+                (bad, b.op(Opcode::Call, &[]))
+            };
+            b.mark_live_out(bad);
+            b.mark_live_out(call);
+            let dfg = b.finish();
+            let order = dfg.topo_order().unwrap();
+            let first = *order.iter().find(|&&v| v == bad || v == call).unwrap();
+            let want = if first == bad {
+                InterpError::Arity(bad)
+            } else {
+                InterpError::Opaque(call)
+            };
+            let got = interpret(&dfg, 2, &Inputs::default()).unwrap_err();
+            assert_eq!(got, want);
+            named.push(matches!(got, InterpError::Opaque(_)));
+        }
+        assert_eq!(named, [true, false]);
+    }
+
+    #[test]
+    fn carried_reads_of_consts_and_live_ins_start_from_initials() {
+        // y_i = k_{i-1} + n_{i-2}: before a read reaches iteration 0 it
+        // takes the initial (or 0), not the constant or live-in value.
+        let mut b = DfgBuilder::new();
+        let k = b.constant(5);
+        let n = b.live_in();
+        let y = b.op(Opcode::Add, &[]);
+        b.loop_carried(k, y, 1);
+        b.loop_carried(n, y, 2);
+        b.store_stream(0, y);
+        let dfg = b.finish();
+        let mut inputs = Inputs::default();
+        inputs.live_ins.insert(n, Value::Int(7));
+        inputs.initials.insert(k, Value::Int(100));
+        let out = interpret(&dfg, 3, &inputs).unwrap();
+        assert_eq!(out.stores[&0], ints(&[100, 5, 12]));
+        inputs.initials.insert(n, Value::Int(1000));
+        let out = interpret(&dfg, 3, &inputs).unwrap();
+        assert_eq!(out.stores[&0], ints(&[1100, 1005, 12]));
     }
 
     #[test]
